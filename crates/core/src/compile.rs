@@ -1,55 +1,46 @@
 //! The compiled execution backend: rule programs lowered to
-//! closure-threaded native code.
+//! closure-threaded native code over the flat arena store.
 //!
-//! The event-driven Vm ([`crate::exec::Vm`]) still pays per-instruction
-//! costs on every rule firing: an opcode dispatch, program-counter
-//! bookkeeping, and a heap-allocated value stack that every operand is
-//! copied through (plus a fresh argument `Vec` per method call). This
-//! module removes all of that with a one-time lowering pass: each guard
-//! and rule body is compiled — straight from the (already lifted and
-//! sequentialized) AST, so control flow stays structured — into a tree of
-//! monomorphized Rust closures threaded into a single callable. Operands
-//! flow through machine registers as closure return values, let-bound
-//! locals become pre-resolved slots in a reusable [`NativeFrame`],
-//! `Index`/`Field` on a let-bound base are fused into direct slot
-//! accesses (no base clone), and method-call argument lists of arity
-//! ≤ 2 live on the stack.
+//! Each guard and rule body is lowered once, when a scheduler is built,
+//! straight from the (already lifted and sequentialized) AST into a tree
+//! of monomorphized Rust closures threaded into a single callable, so
+//! control flow stays structured and no node is dispatched at run time.
+//! Operands flow through machine registers as closure return values,
+//! let-bound locals become pre-resolved slots in a reusable
+//! [`NativeFrame`], `Index`/`Field` on a let-bound base are fused into
+//! direct slot accesses (no base clone), and method-call argument lists
+//! of arity ≤ 2 live on the stack.
 //!
 //! **Cost parity is load-bearing.** Every closure charges exactly the ops
-//! the AST interpreter ([`crate::exec::eval`]/[`crate::exec::exec`]) and
-//! the Vm charge, at the same evaluation points, into the same [`Cost`]
-//! ledgers (via `NativePort`, a closed, fully monomorphized port enum —
-//! a `&mut dyn PrimPort` here would pay a virtual call per charge, which
-//! measurably loses to the stack machine). Modeled
-//! `cpu_cycles`/`fpga_cycles` are therefore bit-identical across all
-//! three executors (the cycle-regression pins and the fuzz farm's sixth
-//! leg both assert this). Only wall-clock time changes.
+//! the AST interpreter ([`crate::exec::eval`]/[`crate::exec::exec`])
+//! charges, at the same evaluation points, into the same [`Cost`] ledgers
+//! (via `NativePort`, a closed port enum, so every charge and method call
+//! compiles to direct code instead of a virtual call). Modeled
+//! `cpu_cycles`/`fpga_cycles` are therefore bit-identical to the
+//! interpreter's (the cycle-regression pins and the fuzz farm both assert
+//! this). Only wall-clock time changes.
 //!
-//! Coverage is identical to the stack-machine compiler
-//! ([`crate::xform::compile_expr`]/[`crate::xform::compile_action`]):
-//! lowering returns `None` for `localGuard` bodies, unelaborated `Named`
-//! targets, and unbound variables, and the schedulers fall back to the
-//! AST interpreter for exactly those rules in every backend.
+//! Lowering returns `None` for `localGuard` bodies, unelaborated `Named`
+//! targets, and unbound variables; the schedulers run the AST interpreter
+//! for exactly those rules.
 //!
 //! ## Word-level lowering
 //!
-//! On a flat-arena store ([`Store::new_flat`]) a second lowering pass
-//! removes the last source of boxed-`Value` traffic: the primitive-port
-//! boundary. Each rule is lowered twice — once to the boxed closures
-//! above (used verbatim on tree-backed stores), and once with a
-//! [`Design`]-derived layout table that lets scalar subexpressions flow
-//! as packed `u64` words end-to-end. Word-typed register reads, FIFO
-//! heads, and regfile cells come through
+//! The target is a flat-arena store ([`Store::new_flat`]); tree-backed
+//! stores are not lowered for at all (the schedulers interpret there). A
+//! [`Design`]-derived layout table lets scalar subexpressions flow as
+//! packed `u64` words end-to-end. Word-typed register reads, FIFO heads,
+//! and regfile cells come through
 //! [`Store::call_value_word_at`]/[`Store::call_action_word_at`] without
 //! ever materializing a `Value`; field names and element offsets of
 //! packed aggregates are resolved to bit offsets at lower time; and
 //! `MkVec`/`MkStruct` arguments to `enq`/register writes are packed
 //! directly into frame scratch words instead of building `Vec`/`Struct`
 //! heap values. Guard probes lowered entirely to the word domain return
-//! a bare `u64` verdict. Cost metering is bit-identical to the boxed
-//! path: every word closure charges the same [`Cost`] deltas at the
-//! same evaluation points, and any expression the word pass cannot
-//! prove chargeable-identically falls back to the boxed closure.
+//! a bare `u64` verdict. Any expression the word pass cannot prove
+//! chargeable-identically is lowered to a boxed-[`Value`] closure
+//! instead, which charges the same [`Cost`] deltas at the same
+//! evaluation points.
 
 use crate::ast::{Action, Expr, PrimId, PrimMethod, Target};
 use crate::design::Design;
@@ -72,9 +63,9 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct NativeFrame {
     slots: Vec<Value>,
-    /// Word scratch for the flat lowering: unboxed scalar locals (one
-    /// word each) and bit-packed aggregate regions, addressed by bit
-    /// offset. Grows like `slots` and is likewise never cleared.
+    /// Word scratch: unboxed scalar locals (one word each) and
+    /// bit-packed aggregate regions, addressed by bit offset. Grows like
+    /// `slots` and is likewise never cleared.
     words: Vec<u64>,
 }
 
@@ -273,10 +264,9 @@ enum Binding {
 }
 
 /// Where a compiled closure reads and writes primitives. A closed enum
-/// rather than `&mut dyn PrimPort`: the Vm is monomorphized over its
-/// port, so matching it means the per-node cost charges and method
-/// calls here must also compile to direct code — a vtable call per
-/// `ops += 1` measurably loses to the stack machine.
+/// rather than a trait object, so the per-node cost charges and method
+/// calls compile to direct code instead of a vtable call per
+/// `ops += 1`.
 pub(crate) enum NativePort<'s> {
     /// Transactional rule body.
     Txn(Txn<'s>),
@@ -493,66 +483,48 @@ impl NativePort<'_> {
 }
 
 /// An expression (typically a lifted guard) lowered to a native
-/// closure. When compiled against a [`Design`] (via [`compile_plan`]),
-/// it additionally carries a flat-store variant whose scalar traffic
-/// stays in unboxed words; the executor picks it iff the store is
-/// arena-backed.
+/// closure for a flat-arena store (see [`compile_plans`]).
 pub struct CompiledExpr {
-    thunk: ExprThunk,
-    /// Local-slot footprint.
-    pub slots: usize,
-    flat: Option<FlatExpr>,
-}
-
-/// The flat-store lowering of a guard expression.
-struct FlatExpr {
-    eval: FlatEval,
+    eval: GuardEval,
     slots: usize,
     words: usize,
 }
 
 /// A fully word-lowered guard returns a bare `u64` verdict (no `Value`
-/// is ever materialized); anything else falls back to a boxed closure
-/// whose subexpressions may still take the word path internally.
-enum FlatEval {
+/// is ever materialized); anything else is a boxed closure whose
+/// subexpressions may still take the word path internally.
+enum GuardEval {
     Word(WordThunk),
     Boxed(ExprThunk),
-}
-
-/// The flat-store lowering of a rule body.
-struct FlatAction {
-    thunk: ActThunk,
-    slots: usize,
-    words: usize,
 }
 
 impl fmt::Debug for CompiledExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledExpr")
             .field("slots", &self.slots)
+            .field("words", &self.words)
             .finish_non_exhaustive()
     }
 }
 
-/// A rule body lowered to a native closure, optionally with a
-/// flat-store word-path variant (see [`CompiledExpr`]).
+/// A rule body lowered to a native closure for a flat-arena store.
 pub struct CompiledAction {
     thunk: ActThunk,
-    /// Local-slot footprint.
-    pub slots: usize,
-    flat: Option<FlatAction>,
+    slots: usize,
+    words: usize,
 }
 
 impl fmt::Debug for CompiledAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledAction")
             .field("slots", &self.slots)
+            .field("words", &self.words)
             .finish_non_exhaustive()
     }
 }
 
 /// A [`RulePlan`] lowered to native closures. `None` components fall back
-/// to the AST interpreter, mirroring the stack-machine fallback exactly.
+/// to the AST interpreter.
 #[derive(Debug, Default)]
 pub struct NativeRule {
     /// The lifted guard, when present and compilable.
@@ -561,21 +533,19 @@ pub struct NativeRule {
     pub body: Option<CompiledAction>,
 }
 
-/// Compile-time lexical scope: let-bound names resolved to bindings.
-/// `prims` is `Some` for the flat (word-lowering) pass and `None` for
-/// the boxed pass, which then behaves exactly like the pre-word
-/// backend: every binding is boxed and every port call carries a
-/// [`Value`].
+/// Compile-time lexical scope: let-bound names resolved to bindings,
+/// plus the frame footprint the lowered closures need and the
+/// per-primitive layout table the word path keys on.
 struct Lowerer<'d> {
     scope: Vec<(String, Binding)>,
     slots: usize,
-    /// Word-scratch footprint (in 64-bit words) for the flat pass.
+    /// Word-scratch footprint, in 64-bit words.
     words: usize,
-    prims: Option<&'d [PrimInfo]>,
+    prims: &'d [PrimInfo],
 }
 
 impl<'d> Lowerer<'d> {
-    fn new(prims: Option<&'d [PrimInfo]>) -> Lowerer<'d> {
+    fn new(prims: &'d [PrimInfo]) -> Lowerer<'d> {
         Lowerer {
             scope: Vec::new(),
             slots: 0,
@@ -593,7 +563,7 @@ impl<'d> Lowerer<'d> {
     }
 
     fn info(&self, id: PrimId) -> Option<&'d PrimInfo> {
-        self.prims.and_then(|ps| ps.get(id.0))
+        self.prims.get(id.0)
     }
 
     /// Reserves a contiguous word-scratch region for `bits` packed bits
@@ -604,21 +574,19 @@ impl<'d> Lowerer<'d> {
         at * 64
     }
 
-    /// Lowers an expression. In the flat pass, scalar expressions take
-    /// the word path and are rematerialized only at the boxed boundary;
-    /// evaluation order and cost-charge points are identical either way.
+    /// Lowers an expression. Scalar expressions take the word path and
+    /// are rematerialized only at the boxed boundary; evaluation order
+    /// and cost-charge points are identical either way.
     fn expr(&mut self, e: &Expr) -> Option<ExprThunk> {
-        if self.prims.is_some() {
-            if let Some((wt, ty)) = self.word_expr(e) {
-                return Some(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?))));
-            }
+        if let Some((wt, ty)) = self.word_expr(e) {
+            return Some(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?))));
         }
         self.expr_boxed(e)
     }
 
-    /// The boxed lowering (the only one on tree stores). Evaluation
-    /// order and cost-charge points mirror the AST interpreter
-    /// instruction for instruction.
+    /// The boxed lowering, for expressions the word path declines.
+    /// Evaluation order and cost-charge points mirror the AST
+    /// interpreter node for node.
     fn expr_boxed(&mut self, e: &Expr) -> Option<ExprThunk> {
         Some(match e {
             Expr::Const(v) => {
@@ -700,8 +668,8 @@ impl<'d> Lowerer<'d> {
             }
             Expr::Index(v, i) => {
                 // Indexing a let-bound vector is fused into a direct slot
-                // access, like the Vm's `LoadIndex`: the element is copied
-                // straight out of the slot without cloning the vector.
+                // access: the element is copied straight out of the slot
+                // without cloning the vector.
                 // `Var` evaluation is infallible, so hoisting it past the
                 // index expression cannot reorder failures; charged cost
                 // is identical.
@@ -755,8 +723,7 @@ impl<'d> Lowerer<'d> {
                 }
             }
             Expr::Field(v, name) => {
-                // Field of a let-bound struct: fused like the Vm's
-                // `LoadField`.
+                // Field of a let-bound struct: fused the same way.
                 if let Expr::Var(n) = v.as_ref() {
                     let name = name.clone();
                     match self.lookup(n)? {
@@ -866,35 +833,33 @@ impl<'d> Lowerer<'d> {
     /// expression's own (the slot store itself is free, as in the
     /// interpreter).
     fn bind_value(&mut self, v: &Expr) -> Option<(ActThunk, Binding)> {
-        if self.prims.is_some() {
-            if let Some((wt, ty)) = self.word_expr(v) {
-                let slot = self.words;
-                self.words += 1;
+        if let Some((wt, ty)) = self.word_expr(v) {
+            let slot = self.words;
+            self.words += 1;
+            let t: ActThunk = Box::new(move |p, f| {
+                f.words[slot] = wt(p, f)?;
+                Ok(())
+            });
+            return Some((t, Binding::Word { slot, ty }));
+        }
+        if let Some((pt, lay)) = self.agg_place(v) {
+            if matches!(
+                lay.kind,
+                LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
+            ) {
+                let base = self.alloc_region(lay.width);
+                let width = lay.width;
                 let t: ActThunk = Box::new(move |p, f| {
-                    f.words[slot] = wt(p, f)?;
-                    Ok(())
+                    let pl = pt(p, f)?;
+                    copy_place_packed(p, f, pl, width, base)
                 });
-                return Some((t, Binding::Word { slot, ty }));
-            }
-            if let Some((pt, lay)) = self.agg_place(v) {
-                if matches!(
-                    lay.kind,
-                    LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
-                ) {
-                    let base = self.alloc_region(lay.width);
-                    let width = lay.width;
-                    let t: ActThunk = Box::new(move |p, f| {
-                        let pl = pt(p, f)?;
-                        copy_place_packed(p, f, pl, width, base)
-                    });
-                    return Some((
-                        t,
-                        Binding::Packed {
-                            base,
-                            layout: Arc::new(lay),
-                        },
-                    ));
-                }
+                return Some((
+                    t,
+                    Binding::Packed {
+                        base,
+                        layout: Arc::new(lay),
+                    },
+                ));
             }
         }
         let v = self.expr(v)?;
@@ -910,14 +875,13 @@ impl<'d> Lowerer<'d> {
     /// Lowers a scalar expression to an unboxed-word closure, or `None`
     /// when the expression (or its type) is not provably word-safe —
     /// the caller then uses the boxed lowering, which charges
-    /// identically. Only called in the flat pass.
+    /// identically.
     ///
     /// Every arm's packed result equals the `write_flat` bits of the
     /// boxed value the interpreter would produce, and every charge
     /// lands at the same point ([`Value::bin_op`]'s division errors
     /// included).
     fn word_expr(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
-        self.prims?;
         Some(match e {
             Expr::Const(v) => {
                 let (ty, w) = WordTy::of_value(v)?;
@@ -1363,7 +1327,6 @@ impl<'d> Lowerer<'d> {
     /// the primitive's element width — the boxed path's runtime width
     /// check, proved at lower time.
     fn call_action_flat(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
-        self.prims?;
         let info = self.info(id)?;
         let lane_width = info.layout.width;
         match (info.kind, m, args) {
@@ -1416,7 +1379,7 @@ impl<'d> Lowerer<'d> {
     }
 
     /// A value-method call, argument lists of arity ≤ 2 specialized to
-    /// stack arrays (the Vm allocates a `Vec` per call via `split_off`).
+    /// stack arrays (no argument `Vec` per call).
     fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ExprThunk> {
         Some(match args {
             [] => Box::new(move |p, _| p.call_value(id, m, &[])),
@@ -1487,19 +1450,15 @@ impl<'d> Lowerer<'d> {
             Action::NoAction => Box::new(|_, _| Ok(())),
             Action::Write(t, e) => {
                 let (id, m) = prim_target(t)?;
-                if self.prims.is_some() {
-                    if let Some(t) = self.call_action_flat(id, m, std::slice::from_ref(e)) {
-                        return Some(t);
-                    }
+                if let Some(t) = self.call_action_flat(id, m, std::slice::from_ref(e)) {
+                    return Some(t);
                 }
                 return self.call_action(id, m, std::slice::from_ref(e));
             }
             Action::Call(t, args) => {
                 let (id, m) = prim_target(t)?;
-                if self.prims.is_some() {
-                    if let Some(t) = self.call_action_flat(id, m, args) {
-                        return Some(t);
-                    }
+                if let Some(t) = self.call_action_flat(id, m, args) {
+                    return Some(t);
                 }
                 return self.call_action(id, m, args);
             }
@@ -1578,10 +1537,9 @@ impl<'d> Lowerer<'d> {
                 })
             }
             Action::Par(x, y) => {
-                // Mirror the Vm's ParStart/ParMid/ParEnd frame discipline
-                // through the port; an error mid-branch propagates with
-                // the frames unbalanced and rollback clears them, exactly
-                // like the stack machine.
+                // The interpreter's branch-isolation frame discipline,
+                // driven through the port; an error mid-branch propagates
+                // with the frames unbalanced and rollback clears them.
                 let x = self.action(x)?;
                 let y = self.action(y)?;
                 Box::new(move |p, f| {
@@ -1594,7 +1552,7 @@ impl<'d> Lowerer<'d> {
             }
             // localGuard absorbs guard failures into a discardable frame,
             // which needs catch semantics the closure chain does not model;
-            // it stays on the interpreter (same fallback as the Vm).
+            // it stays on the interpreter.
             Action::LocalGuard(..) => return None,
         })
     }
@@ -1607,114 +1565,60 @@ fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
     }
 }
 
-/// Lowers an expression (typically a lifted guard) to a native closure.
-/// `None` when it references unelaborated names or free variables —
-/// callers fall back to the AST interpreter. The result carries no
-/// flat-store variant; use [`compile_plan`] (which knows the
-/// [`Design`]) for the word-path lowering.
-pub fn compile_expr(e: &Expr) -> Option<CompiledExpr> {
-    let mut l = Lowerer::new(None);
-    let thunk = l.expr(e)?;
+/// Lowers a guard. One whose word lowering reaches a Bool root becomes
+/// a [`GuardEval::Word`] that never materializes a `Value`; otherwise
+/// it is a boxed closure whose scalar subexpressions still travel as
+/// words. `None` when it references unelaborated names or free
+/// variables.
+fn compile_expr(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
+    let mut l = Lowerer::new(infos);
+    let eval = match l.word_expr(e) {
+        // Guards are Bool-typed; a non-Bool root must keep the boxed
+        // `as_bool` error, so only Bool roots take the bare-word form.
+        Some((wt, WordTy::Bool)) => GuardEval::Word(wt),
+        Some((wt, ty)) => GuardEval::Boxed(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?)))),
+        None => {
+            l = Lowerer::new(infos);
+            GuardEval::Boxed(l.expr(e)?)
+        }
+    };
     Some(CompiledExpr {
-        thunk,
+        eval,
         slots: l.slots,
-        flat: None,
+        words: l.words,
     })
 }
 
-/// Lowers a rule body to a native closure, or `None` if it uses
-/// constructs the backend does not model (`localGuard`, unelaborated
-/// names). Boxed-only, like [`compile_expr`].
-pub fn compile_action(a: &Action) -> Option<CompiledAction> {
-    let mut l = Lowerer::new(None);
+/// Lowers a rule body, or `None` if it uses constructs the backend does
+/// not model (`localGuard`, unelaborated names, free variables).
+fn compile_action(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
+    let mut l = Lowerer::new(infos);
     let thunk = l.action(a)?;
     Some(CompiledAction {
         thunk,
         slots: l.slots,
-        flat: None,
-    })
-}
-
-/// Lowers a guard twice: boxed (used on tree stores) and flat. A guard
-/// whose word lowering reaches the root becomes a [`FlatEval::Word`]
-/// that never materializes a `Value`; otherwise the flat variant is a
-/// boxed closure whose scalar subexpressions still travel as words.
-fn compile_expr_flat(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
-    let boxed = compile_expr(e)?;
-    let mut l = Lowerer::new(Some(infos));
-    let flat = match l.word_expr(e) {
-        // Guards are Bool-typed; a non-Bool root must keep the boxed
-        // `as_bool` error, so only Bool roots take the bare-word form.
-        Some((wt, WordTy::Bool)) => Some(FlatExpr {
-            eval: FlatEval::Word(wt),
-            slots: l.slots,
-            words: l.words,
-        }),
-        Some((wt, ty)) => Some(FlatExpr {
-            eval: FlatEval::Boxed(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?)))),
-            slots: l.slots,
-            words: l.words,
-        }),
-        None => {
-            let mut l = Lowerer::new(Some(infos));
-            l.expr(e).map(|t| FlatExpr {
-                eval: FlatEval::Boxed(t),
-                slots: l.slots,
-                words: l.words,
-            })
-        }
-    };
-    Some(CompiledExpr {
-        thunk: boxed.thunk,
-        slots: boxed.slots,
-        flat,
-    })
-}
-
-/// Lowers a rule body twice: boxed and flat (see [`compile_expr_flat`]).
-fn compile_action_flat(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
-    let boxed = compile_action(a)?;
-    let mut l = Lowerer::new(Some(infos));
-    let flat = l.action(a).map(|t| FlatAction {
-        thunk: t,
-        slots: l.slots,
         words: l.words,
-    });
-    Some(CompiledAction {
-        thunk: boxed.thunk,
-        slots: boxed.slots,
-        flat,
     })
 }
 
-fn compile_plan_with(plan: &RulePlan, infos: &[PrimInfo]) -> NativeRule {
+fn compile_plan(plan: &RulePlan, infos: &[PrimInfo]) -> NativeRule {
     NativeRule {
-        guard: plan
-            .guard
-            .as_ref()
-            .and_then(|g| compile_expr_flat(g, infos)),
-        body: compile_action_flat(&plan.body, infos),
+        guard: plan.guard.as_ref().and_then(|g| compile_expr(g, infos)),
+        body: compile_action(&plan.body, infos),
     }
 }
 
-/// Lowers one compiled rule plan to native closures. The design is
-/// consulted for primitive element layouts so that, on flat-arena
-/// stores, scalar port traffic runs unboxed (see the module docs);
-/// tree-backed stores use the boxed closures unchanged.
-pub fn compile_plan(plan: &RulePlan, design: &Design) -> NativeRule {
-    compile_plan_with(plan, &prim_infos(design))
-}
-
-/// Lowers every plan of a design, building the layout table once.
+/// Lowers every plan of a design to native closures for a flat-arena
+/// store. The design supplies the primitive element layouts that let
+/// scalar port traffic run unboxed (see the module docs).
 pub fn compile_plans(plans: &[RulePlan], design: &Design) -> Vec<NativeRule> {
     let infos = prim_infos(design);
-    plans.iter().map(|p| compile_plan_with(p, &infos)).collect()
+    plans.iter().map(|p| compile_plan(p, &infos)).collect()
 }
 
-/// Native counterpart of [`crate::exec::eval_guard_ro`] /
-/// [`crate::exec::eval_guard_compiled`]: evaluates a lowered guard
-/// directly against the committed store, folding guard failures to
-/// `Ok(false)`. Charges identical cost to both.
+/// Native counterpart of [`crate::exec::eval_guard_ro`]: evaluates a
+/// lowered guard directly against the committed flat-arena store,
+/// folding guard failures to `Ok(false)`. Charges identical cost.
 pub fn eval_guard_native(
     frame: &mut NativeFrame,
     store: &Store,
@@ -1722,59 +1626,34 @@ pub fn eval_guard_native(
     cost: &mut Cost,
 ) -> ExecResult<bool> {
     cost.guard_evals += 1;
-    if store.is_flat() {
-        if let Some(fx) = &guard.flat {
-            frame.ensure(fx.slots);
-            frame.ensure_words(fx.words);
-            let mut port = NativePort::Ro { store, cost };
-            return match &fx.eval {
-                FlatEval::Word(t) => match t(&mut port, frame) {
-                    Ok(w) => Ok(w != 0),
-                    Err(ExecError::GuardFail) => Ok(false),
-                    Err(e) => Err(e),
-                },
-                FlatEval::Boxed(t) => match t(&mut port, frame) {
-                    Ok(v) => v.as_bool(),
-                    Err(ExecError::GuardFail) => Ok(false),
-                    Err(e) => Err(e),
-                },
-            };
-        }
-    }
     frame.ensure(guard.slots);
+    frame.ensure_words(guard.words);
     let mut port = NativePort::Ro { store, cost };
-    match (guard.thunk)(&mut port, frame) {
-        Ok(v) => v.as_bool(),
+    let r = match &guard.eval {
+        GuardEval::Word(t) => t(&mut port, frame).map(|w| w != 0),
+        GuardEval::Boxed(t) => t(&mut port, frame).and_then(|v| v.as_bool()),
+    };
+    match r {
         Err(ExecError::GuardFail) => Ok(false),
-        Err(e) => Err(e),
+        r => r,
     }
 }
 
-/// Native counterpart of [`crate::exec::run_rule_compiled`]: executes a
-/// lowered body as a transaction, committing on success and rolling back
-/// on guard failure.
+/// Native counterpart of [`crate::exec::run_rule`]: executes a lowered
+/// body as a transaction over a flat-arena store, committing on success
+/// and rolling back on guard failure.
 pub fn run_rule_native(
     frame: &mut NativeFrame,
     store: &mut Store,
     body: &CompiledAction,
     policy: ShadowPolicy,
 ) -> ExecResult<(RuleOutcome, Cost)> {
-    let use_flat = store.is_flat();
     let mut txn = Txn::new(store, policy);
     txn.cost.txn_setups += 1;
-    let thunk = match (&body.flat, use_flat) {
-        (Some(fa), true) => {
-            frame.ensure(fa.slots);
-            frame.ensure_words(fa.words);
-            &fa.thunk
-        }
-        _ => {
-            frame.ensure(body.slots);
-            &body.thunk
-        }
-    };
+    frame.ensure(body.slots);
+    frame.ensure_words(body.words);
     let mut port = NativePort::Txn(txn);
-    let r = thunk(&mut port, frame);
+    let r = (body.thunk)(&mut port, frame);
     let NativePort::Txn(txn) = port else {
         unreachable!("rule body cannot change its port variant")
     };
@@ -1785,31 +1664,21 @@ pub fn run_rule_native(
     }
 }
 
-/// Native counterpart of [`crate::exec::run_rule_inplace_compiled`]:
-/// executes a fully guard-lifted body straight against the committed
+/// Native counterpart of [`crate::exec::run_rule_inplace`]: executes a
+/// fully guard-lifted body straight against the committed flat-arena
 /// store — no transaction, no frame stack, no shadow map. Cost-identical
-/// to the in-place interpreter and Vm paths.
+/// to the in-place interpreter.
 pub fn run_rule_inplace_native(
     frame: &mut NativeFrame,
     store: &mut Store,
     body: &CompiledAction,
 ) -> ExecResult<Cost> {
-    let use_flat = store.is_flat();
-    let thunk = match (&body.flat, use_flat) {
-        (Some(fa), true) => {
-            frame.ensure(fa.slots);
-            frame.ensure_words(fa.words);
-            &fa.thunk
-        }
-        _ => {
-            frame.ensure(body.slots);
-            &body.thunk
-        }
-    };
+    frame.ensure(body.slots);
+    frame.ensure_words(body.words);
     let mut cost = Cost::default();
     cost.inplace_runs += 1;
     let mut port = NativePort::InPlace { store, cost };
-    let r = thunk(&mut port, frame);
+    let r = (body.thunk)(&mut port, frame);
     let NativePort::InPlace { cost, .. } = port else {
         unreachable!("rule body cannot change its port variant")
     };
@@ -1827,10 +1696,7 @@ mod tests {
     use super::*;
     use crate::ast::{Path, PrimId, PrimMethod, RuleDef};
     use crate::design::{Design, PrimDef};
-    use crate::exec::{
-        eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
-        run_rule_inplace_compiled, Vm,
-    };
+    use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace};
     use crate::prim::PrimSpec;
     use crate::types::Type;
     use crate::value::BinOp;
@@ -1878,118 +1744,63 @@ mod tests {
         Action::Call(Target::Prim(id, PrimMethod::Enq), vec![e])
     }
 
-    /// Five-way parity: the native backend must match the AST
-    /// interpreter AND the stack machine in verdicts, final state, and —
-    /// bit for bit — cost counters; the flat-store word path must match
-    /// the flat-store interpreter the same way, with identical costs to
-    /// the tree legs.
-    fn assert_native_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
-        let plan = compile_rule(rule, CompileOpts::default());
-        let native = compile_plan(&plan, design);
-        let mut s_ast = Store::new(design);
-        setup(&mut s_ast);
-        let mut s_vm = s_ast.clone();
-        let mut s_nat = s_ast.clone();
-        let mut s_fla = Store::new_flat(design);
-        setup(&mut s_fla);
-        let mut s_fln = s_fla.clone();
-        let mut vm = Vm::new();
-        let mut frame = NativeFrame::new();
-        if let Some(g) = &plan.guard {
-            let prog = plan.guard_prog.as_ref().expect("guard compiles to Prog");
-            let cg = native.guard.as_ref().expect("guard compiles natively");
-            let mut c_ast = Cost::default();
-            let mut c_vm = Cost::default();
-            let mut c_nat = Cost::default();
-            let mut c_fla = Cost::default();
-            let mut c_fln = Cost::default();
-            let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
-            let v_vm = eval_guard_compiled(&mut vm, &s_vm, prog, &mut c_vm).unwrap();
-            let v_nat = eval_guard_native(&mut frame, &s_nat, cg, &mut c_nat).unwrap();
-            let v_fla = eval_guard_ro(&mut s_fla, g, &mut c_fla).unwrap();
-            let v_fln = eval_guard_native(&mut frame, &s_fln, cg, &mut c_fln).unwrap();
-            assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
-            assert_eq!(v_vm, v_nat, "guard verdict vm/native for {}", rule.name);
-            assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
-            assert_eq!(c_vm, c_nat, "guard cost vm/native for {}", rule.name);
-            assert_eq!(v_fla, v_nat, "guard verdict flat/tree for {}", rule.name);
-            assert_eq!(v_fln, v_nat, "guard verdict flat-native for {}", rule.name);
-            assert_eq!(c_fla, c_nat, "guard cost flat-ast for {}", rule.name);
-            assert_eq!(c_fln, c_nat, "guard cost flat-native for {}", rule.name);
-        }
-        let prog = plan.body_prog.as_ref().expect("body compiles to Prog");
-        let cb = native.body.as_ref().expect("body compiles natively");
-        let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
-        let (out_vm, cost_vm) =
-            run_rule_compiled(&mut vm, &mut s_vm, prog, ShadowPolicy::Partial).unwrap();
-        let (out_nat, cost_nat) =
-            run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).unwrap();
-        let (out_fla, cost_fla) = run_rule(&mut s_fla, &plan.body, ShadowPolicy::Partial).unwrap();
-        let (out_fln, cost_fln) =
-            run_rule_native(&mut frame, &mut s_fln, cb, ShadowPolicy::Partial).unwrap();
-        assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
-        assert_eq!(out_vm, out_nat, "outcome vm/native for {}", rule.name);
-        assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
-        assert_eq!(cost_vm, cost_nat, "body cost vm/native for {}", rule.name);
-        assert_eq!(s_ast, s_nat, "state for {}", rule.name);
-        assert_eq!(s_vm, s_nat, "state vm/native for {}", rule.name);
-        assert_eq!(out_fla, out_nat, "outcome flat-ast for {}", rule.name);
-        assert_eq!(out_fln, out_nat, "outcome flat-native for {}", rule.name);
-        assert_eq!(cost_fla, cost_nat, "body cost flat-ast for {}", rule.name);
-        assert_eq!(
-            cost_fln, cost_nat,
-            "body cost flat-native for {}",
-            rule.name
-        );
-        assert_eq!(s_fla, s_fln, "state flat-ast/flat-native for {}", rule.name);
+    /// Every primitive holds the same state on the tree and flat stores.
+    fn assert_same_state(tree: &Store, flat: &Store, design: &Design, what: &str) {
         for id in (0..design.prims.len()).map(PrimId) {
             assert_eq!(
-                s_nat.get_state(id),
-                s_fln.get_state(id),
-                "prim {} state tree/flat for {}",
-                id.0,
-                rule.name
+                tree.get_state(id),
+                flat.get_state(id),
+                "prim {} state tree/flat for {what}",
+                id.0
             );
         }
     }
 
-    /// In-place parity for fully lifted rules, on both store backends.
+    /// The native backend on a flat store must match the AST interpreter
+    /// on the tree store in verdicts, final state, and — bit for bit —
+    /// cost counters.
+    fn assert_native_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
+        let plan = compile_rule(rule, CompileOpts::default());
+        let native = compile_plan(&plan, &prim_infos(design));
+        let mut s_ast = Store::new(design);
+        setup(&mut s_ast);
+        let mut s_nat = Store::new_flat(design);
+        setup(&mut s_nat);
+        let mut frame = NativeFrame::new();
+        if let Some(g) = &plan.guard {
+            let cg = native.guard.as_ref().expect("guard compiles natively");
+            let mut c_ast = Cost::default();
+            let mut c_nat = Cost::default();
+            let v_ast = eval_guard_ro(&mut s_ast, g, &mut c_ast).unwrap();
+            let v_nat = eval_guard_native(&mut frame, &s_nat, cg, &mut c_nat).unwrap();
+            assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
+            assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
+        }
+        let cb = native.body.as_ref().expect("body compiles natively");
+        let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
+        let (out_nat, cost_nat) =
+            run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).unwrap();
+        assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
+        assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
+        assert_same_state(&s_ast, &s_nat, design, &rule.name);
+    }
+
+    /// In-place parity for fully lifted rules: native on flat against the
+    /// interpreter on tree.
     fn assert_inplace_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
         let plan = compile_rule(rule, CompileOpts::default());
         assert_eq!(plan.mode, ExecMode::InPlace, "{} must lift", rule.name);
-        let native = compile_plan(&plan, design);
+        let native = compile_plan(&plan, &prim_infos(design));
         let cb = native.body.as_ref().expect("body compiles natively");
-        let prog = plan.body_prog.as_ref().expect("body compiles to Prog");
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
-        let mut s_vm = s_ast.clone();
-        let mut s_nat = s_ast.clone();
-        let mut s_fla = Store::new_flat(design);
-        setup(&mut s_fla);
-        let mut s_fln = s_fla.clone();
-        let mut vm = Vm::new();
+        let mut s_nat = Store::new_flat(design);
+        setup(&mut s_nat);
         let mut frame = NativeFrame::new();
         let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
-        let c_vm = run_rule_inplace_compiled(&mut vm, &mut s_vm, prog).unwrap();
         let c_nat = run_rule_inplace_native(&mut frame, &mut s_nat, cb).unwrap();
-        let c_fla = run_rule_inplace(&mut s_fla, &plan.body).unwrap();
-        let c_fln = run_rule_inplace_native(&mut frame, &mut s_fln, cb).unwrap();
         assert_eq!(c_ast, c_nat, "in-place cost for {}", rule.name);
-        assert_eq!(c_vm, c_nat, "in-place cost vm/native for {}", rule.name);
-        assert_eq!(s_ast, s_nat, "in-place state for {}", rule.name);
-        assert_eq!(s_vm, s_nat, "in-place state vm/native for {}", rule.name);
-        assert_eq!(c_fla, c_nat, "in-place cost flat-ast for {}", rule.name);
-        assert_eq!(c_fln, c_nat, "in-place cost flat-native for {}", rule.name);
-        assert_eq!(s_fla, s_fln, "in-place state flat for {}", rule.name);
-        for id in (0..design.prims.len()).map(PrimId) {
-            assert_eq!(
-                s_nat.get_state(id),
-                s_fln.get_state(id),
-                "in-place prim {} state tree/flat for {}",
-                id.0,
-                rule.name
-            );
-        }
+        assert_same_state(&s_ast, &s_nat, design, &rule.name);
     }
 
     /// The paper's running example: `Rule foo {a := 1; f.enq(a); a := 0}`.
@@ -2007,7 +1818,7 @@ mod tests {
     }
 
     #[test]
-    fn native_execution_matches_interpreter_and_vm() {
+    fn native_execution_matches_interpreter() {
         let d = d3();
         assert_native_parity(&rule_foo(), &d, |_| {});
         assert_native_parity(&rule_foo(), &d, |s| {
@@ -2162,7 +1973,7 @@ mod tests {
     }
 
     #[test]
-    fn native_inplace_matches_interpreter_and_vm() {
+    fn native_inplace_matches_interpreter() {
         let d = d3();
         assert_inplace_parity(&rule_foo(), &d, |_| {});
         let lg = RuleDef {
@@ -2181,8 +1992,8 @@ mod tests {
             Box::new(wr(A, Expr::int(32, 1))),
             Box::new(wr(A, Expr::int(32, 2))),
         );
-        let cb = compile_action(&body).expect("Par compiles");
-        let mut s = Store::new(&d);
+        let cb = compile_action(&body, &prim_infos(&d)).expect("Par compiles");
+        let mut s = Store::new_flat(&d);
         let mut frame = NativeFrame::new();
         let err = run_rule_native(&mut frame, &mut s, &cb, ShadowPolicy::Partial).unwrap_err();
         let mut s2 = Store::new(&d);
@@ -2191,24 +2002,22 @@ mod tests {
     }
 
     #[test]
-    fn coverage_matches_stack_machine() {
-        // localGuard, unelaborated names, and unbound variables fall back
-        // to the interpreter — in both compiled backends.
+    fn lowering_declines_local_guard_named_and_unbound() {
+        // Exactly three constructs are left to the interpreter:
+        // localGuard, unelaborated names, and unbound variables.
+        let infos = prim_infos(&d3());
         let lg = Action::LocalGuard(Box::new(Action::NoAction));
-        assert!(compile_action(&lg).is_none());
-        assert!(crate::xform::compile_action(&lg).is_none());
+        assert!(compile_action(&lg, &infos).is_none());
         let named = Action::Call(Target::Named("x".into(), "enq".into()), vec![]);
-        assert!(compile_action(&named).is_none());
-        assert!(crate::xform::compile_action(&named).is_none());
+        assert!(compile_action(&named, &infos).is_none());
         let unbound = Expr::Var("nope".into());
-        assert!(compile_expr(&unbound).is_none());
-        assert!(crate::xform::compile_expr(&unbound).is_none());
+        assert!(compile_expr(&unbound, &infos).is_none());
     }
 
     #[test]
     fn guard_failures_fold_to_false() {
         let d = d3();
-        let s = Store::new(&d);
+        let s = Store::new_flat(&d);
         let mut frame = NativeFrame::new();
         let mut cost = Cost::default();
         // Guard reads f.first on an empty FIFO -> false, not an error.
@@ -2217,7 +2026,7 @@ mod tests {
             Box::new(Expr::Call(Target::Prim(F, PrimMethod::First), vec![])),
             Box::new(Expr::int(32, 0)),
         );
-        let cg = compile_expr(&g).unwrap();
+        let cg = compile_expr(&g, &prim_infos(&d)).unwrap();
         assert!(!eval_guard_native(&mut frame, &s, &cg, &mut cost).unwrap());
         assert_eq!(cost.guard_evals, 1);
         // And cost parity with the interpreter on the failure path.
@@ -2397,7 +2206,7 @@ mod tests {
             Target::Prim(RF, PrimMethod::Upd),
             vec![Expr::int(32, 9), Expr::int(63, 1)],
         );
-        let cb = compile_action_flat(&body, &prim_infos(&d)).expect("compiles");
+        let cb = compile_action(&body, &prim_infos(&d)).expect("compiles");
         let mut frame = NativeFrame::new();
         let mut s_flat = Store::new_flat(&d);
         let err_flat =
@@ -2410,7 +2219,7 @@ mod tests {
             Target::Prim(RF, PrimMethod::Upd),
             vec![Expr::int(32, -1), Expr::int(63, 1)],
         );
-        let cb = compile_action_flat(&neg, &prim_infos(&d)).expect("compiles");
+        let cb = compile_action(&neg, &prim_infos(&d)).expect("compiles");
         let err_flat =
             run_rule_native(&mut frame, &mut s_flat, &cb, ShadowPolicy::Partial).unwrap_err();
         let err_tree = run_rule(&mut s_tree, &neg, ShadowPolicy::Partial).unwrap_err();
@@ -2431,10 +2240,9 @@ mod tests {
                 Box::new(Expr::int(32, 0)),
             )),
         );
-        let cg = compile_expr_flat(&g, &prim_infos(&d)).expect("compiles");
-        let fx = cg.flat.as_ref().expect("flat variant present");
+        let cg = compile_expr(&g, &prim_infos(&d)).expect("compiles");
         assert!(
-            matches!(fx.eval, FlatEval::Word(_)),
+            matches!(cg.eval, GuardEval::Word(_)),
             "guard should lower to the bare-word form"
         );
         // And it evaluates with interpreter-identical cost and verdict.

@@ -10,15 +10,13 @@
 //! a multiplexed register update is exactly what the transaction commit
 //! does, at zero modeled cost.
 
+use super::RuleExec;
 use crate::analysis::{ConflictInfo, Sensitivity};
 use crate::ast::{Action, PrimId};
 use crate::codec::{self, ByteReader, ByteWriter, CodecResult};
-use crate::compile::{self, eval_guard_native, run_rule_native, NativeFrame, NativeRule};
 use crate::design::Design;
 use crate::error::{ElabError, ExecResult};
-use crate::exec::{
-    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, RuleOutcome, Vm,
-};
+use crate::exec::RuleOutcome;
 use crate::store::{Cost, ShadowPolicy, Store, StoreSnapshot};
 use crate::xform::{compile_design, CompileOpts, RulePlan};
 
@@ -151,10 +149,11 @@ pub struct HwSim {
     /// oracle and benchmark baseline).
     pub event_driven: bool,
     /// Execute guards and bodies through the closure-threaded native
-    /// backend ([`crate::compile`]) instead of the stack-machine [`Vm`].
-    /// Observable behavior (firings, cycles, state) is bit-identical;
-    /// only wall-clock time changes. Set after construction, like
-    /// `event_driven`.
+    /// backend ([`crate::compile`]) instead of the AST interpreter.
+    /// Takes effect only over a flat-arena store, the lowering's target;
+    /// over a tree store the simulator interprets. Observable behavior
+    /// (firings, cycles, state) is bit-identical; only wall-clock time
+    /// changes. Set after construction, like `event_driven`.
     pub compiled: bool,
     fired: Vec<u64>,
     total_fired: u64,
@@ -162,11 +161,9 @@ pub struct HwSim {
     scratch_ready: Vec<bool>,
     verdicts: Vec<Option<bool>>,
     dirty_scratch: Vec<PrimId>,
-    vm: Vm,
     guard_evals: u64,
     guard_evals_skipped: u64,
-    natives: Vec<NativeRule>,
-    frame: NativeFrame,
+    pub(super) exec: RuleExec,
 }
 
 impl HwSim {
@@ -179,7 +176,9 @@ impl HwSim {
         HwSim::with_store(design, Store::new(design))
     }
 
-    /// Builds a simulator over an existing store.
+    /// Builds a simulator over an existing store. Over a flat-arena
+    /// store the rules are lowered to native closures here, so
+    /// [`HwSim::compiled`] can be switched on after construction.
     ///
     /// # Errors
     ///
@@ -197,9 +196,7 @@ impl HwSim {
         );
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        // Lowering is a cheap one-time pass; build the native rules
-        // unconditionally so `compiled` can be flipped after construction.
-        let natives = compile::compile_plans(&plans, design);
+        let exec = RuleExec::new(&plans, design, &store);
         Ok(HwSim {
             plans,
             conflicts: ConflictInfo::of_design(design),
@@ -214,11 +211,9 @@ impl HwSim {
             scratch_ready: vec![false; n],
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
-            vm: Vm::default(),
             guard_evals: 0,
             guard_evals_skipped: 0,
-            natives,
-            frame: NativeFrame::new(),
+            exec,
         })
     }
 
@@ -244,7 +239,7 @@ impl HwSim {
                     self.verdicts[r] = None;
                 }
             }
-            // CAN_FIRE: cached verdict where still valid, fresh (compiled)
+            // CAN_FIRE: cached verdict where still valid, fresh
             // evaluation otherwise.
             for i in 0..n {
                 self.scratch_ready[i] = match &self.plans[i].guard {
@@ -254,27 +249,13 @@ impl HwSim {
                             self.guard_evals_skipped += 1;
                             v
                         } else {
-                            let v = if self.compiled {
-                                match &self.natives[i].guard {
-                                    Some(cg) => eval_guard_native(
-                                        &mut self.frame,
-                                        &self.store,
-                                        cg,
-                                        &mut ignored,
-                                    )?,
-                                    None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                                }
-                            } else {
-                                match &self.plans[i].guard_prog {
-                                    Some(p) => eval_guard_compiled(
-                                        &mut self.vm,
-                                        &self.store,
-                                        p,
-                                        &mut ignored,
-                                    )?,
-                                    None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                                }
-                            };
+                            let v = self.exec.guard(
+                                self.compiled,
+                                &mut self.store,
+                                i,
+                                g,
+                                &mut ignored,
+                            )?;
                             self.guard_evals += 1;
                             self.verdicts[i] = Some(v);
                             v
@@ -289,19 +270,8 @@ impl HwSim {
                 self.scratch_ready[i] = match &self.plans[i].guard {
                     Some(g) => {
                         self.guard_evals += 1;
-                        if self.compiled {
-                            match &self.natives[i].guard {
-                                Some(cg) => eval_guard_native(
-                                    &mut self.frame,
-                                    &self.store,
-                                    cg,
-                                    &mut ignored,
-                                )?,
-                                None => eval_guard_ro(&mut self.store, g, &mut ignored)?,
-                            }
-                        } else {
-                            eval_guard_ro(&mut self.store, g, &mut ignored)?
-                        }
+                        self.exec
+                            .guard(self.compiled, &mut self.store, i, g, &mut ignored)?
                     }
                     None => true,
                 };
@@ -320,25 +290,13 @@ impl HwSim {
         // wires (zero software cost — we discard the counters).
         let mut fired_now = 0;
         for &i in &selected {
-            let plan = &self.plans[i];
-            let (out, _c) = if self.compiled {
-                match &self.natives[i].body {
-                    Some(cb) => run_rule_native(
-                        &mut self.frame,
-                        &mut self.store,
-                        cb,
-                        ShadowPolicy::Partial,
-                    )?,
-                    None => run_rule(&mut self.store, &plan.body, ShadowPolicy::Partial)?,
-                }
-            } else {
-                match (&plan.body_prog, self.event_driven) {
-                    (Some(p), true) => {
-                        run_rule_compiled(&mut self.vm, &mut self.store, p, ShadowPolicy::Partial)?
-                    }
-                    _ => run_rule(&mut self.store, &plan.body, ShadowPolicy::Partial)?,
-                }
-            };
+            let (out, _c) = self.exec.body(
+                self.compiled,
+                &mut self.store,
+                i,
+                &self.plans[i],
+                ShadowPolicy::Partial,
+            )?;
             if out == RuleOutcome::Fired {
                 self.fired[i] += 1;
                 self.total_fired += 1;
@@ -533,11 +491,13 @@ mod tests {
 
     #[test]
     fn compiled_backend_is_cycle_identical() {
+        // Native rules on the flat store against the interpreter on the
+        // tree store, under both scheduling modes.
         for event_driven in [false, true] {
             let mut runs = Vec::new();
             for compiled in [false, true] {
                 let d = pipeline3();
-                let mut store = Store::new(&d);
+                let mut store = Store::new_like(&d, compiled);
                 for i in 0..20 {
                     store.push_source(PrimId(0), Value::int(32, i));
                 }

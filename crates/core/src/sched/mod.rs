@@ -15,7 +15,90 @@ mod sw;
 pub use hw::{hw_check, HwReport, HwSim, HwSnapshot};
 pub use sw::{ExecBackend, Strategy, SwOptions, SwReport, SwRunner, SwSnapshot};
 
-use crate::store::Cost;
+use crate::ast::Expr;
+use crate::compile::{
+    compile_plans, eval_guard_native, run_rule_inplace_native, run_rule_native, NativeFrame,
+    NativeRule,
+};
+use crate::design::Design;
+use crate::error::ExecResult;
+use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace, RuleOutcome};
+use crate::store::{Cost, ShadowPolicy, Store};
+use crate::xform::RulePlan;
+
+/// A scheduler's rule executor. Over a flat-arena store every rule is
+/// lowered once to native closures ([`crate::compile`]); over a tree
+/// store nothing is lowered. Each call runs the native lowering when
+/// `native` is set and one exists, and the AST interpreter otherwise —
+/// every rule on a tree store, and the constructs lowering declines
+/// (`localGuard`, unelaborated names, unbound variables) on a flat one.
+#[derive(Debug, Default)]
+struct RuleExec {
+    natives: Vec<NativeRule>,
+    frame: NativeFrame,
+}
+
+impl RuleExec {
+    /// Lowers `plans` if `store` is flat.
+    fn new(plans: &[RulePlan], design: &Design, store: &Store) -> RuleExec {
+        RuleExec {
+            natives: if store.is_flat() {
+                compile_plans(plans, design)
+            } else {
+                Vec::new()
+            },
+            frame: NativeFrame::new(),
+        }
+    }
+
+    fn lowered(natives: &[NativeRule], native: bool, i: usize) -> Option<&NativeRule> {
+        natives.get(i).filter(|_| native)
+    }
+
+    /// Evaluates rule `i`'s lifted guard `g` against the committed store.
+    fn guard(
+        &mut self,
+        native: bool,
+        store: &mut Store,
+        i: usize,
+        g: &Expr,
+        cost: &mut Cost,
+    ) -> ExecResult<bool> {
+        match Self::lowered(&self.natives, native, i).and_then(|n| n.guard.as_ref()) {
+            Some(cg) => eval_guard_native(&mut self.frame, store, cg, cost),
+            None => eval_guard_ro(store, g, cost),
+        }
+    }
+
+    /// Runs rule `i`'s body as a transaction.
+    fn body(
+        &mut self,
+        native: bool,
+        store: &mut Store,
+        i: usize,
+        plan: &RulePlan,
+        policy: ShadowPolicy,
+    ) -> ExecResult<(RuleOutcome, Cost)> {
+        match Self::lowered(&self.natives, native, i).and_then(|n| n.body.as_ref()) {
+            Some(cb) => run_rule_native(&mut self.frame, store, cb, policy),
+            None => run_rule(store, &plan.body, policy),
+        }
+    }
+
+    /// Runs rule `i`'s fully guard-lifted body in place.
+    fn body_inplace(
+        &mut self,
+        native: bool,
+        store: &mut Store,
+        i: usize,
+        plan: &RulePlan,
+    ) -> ExecResult<Cost> {
+        match Self::lowered(&self.natives, native, i).and_then(|n| n.body.as_ref()) {
+            Some(cb) => run_rule_inplace_native(&mut self.frame, store, cb),
+            None => run_rule_inplace(store, &plan.body),
+        }
+    }
+}
 
 /// Converts the abstract cost counters of rule execution into CPU cycles.
 ///
@@ -79,6 +162,78 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{dsl::*, ModuleBuilder};
+    use crate::program::Program;
+    use crate::types::Type;
+    use crate::value::Value;
+
+    /// A tree store is never lowered. With `compiled` on — through the
+    /// options for the runner, and set after construction for the
+    /// simulator, as `Cosim` does — both schedulers take the interpreter
+    /// fallback and match the naive reference in firings, state, and
+    /// cycles.
+    #[test]
+    fn compiled_over_tree_store_falls_back_to_interpreter() {
+        let mut m = ModuleBuilder::new("Fallback");
+        m.source("src", Type::Int(32), "SW");
+        m.sink("snk", Type::Int(32), "SW");
+        m.fifo("q", 2, Type::Int(32));
+        m.reg("n", Value::int(32, 0));
+        m.rule(
+            "feed",
+            with_first("x", "src", enq("q", add(var("x"), cint(32, 1)))),
+        );
+        m.rule(
+            "drain",
+            with_first(
+                "x",
+                "q",
+                par(vec![
+                    enq("snk", var("x")),
+                    write("n", add(read("n"), cint(32, 1))),
+                ]),
+            ),
+        );
+        let d = crate::elab::elaborate(&Program::with_root(m.build())).unwrap();
+        let src = d.prim_id("src").unwrap();
+        let preload = || {
+            let mut s = Store::new(&d);
+            for i in 0..6 {
+                s.push_source(src, Value::int(32, i));
+            }
+            s
+        };
+
+        let sw = |event_driven, compiled| {
+            let opts = SwOptions {
+                event_driven,
+                compiled,
+                ..Default::default()
+            };
+            let mut r = SwRunner::with_store(&d, preload(), opts);
+            r.run_until_quiescent(1_000).unwrap();
+            r
+        };
+        let naive = sw(false, false);
+        let compiled = sw(true, true);
+        assert!(compiled.exec.natives.is_empty(), "tree store was lowered");
+        assert_eq!(compiled.report(), naive.report());
+        assert_eq!(compiled.store, naive.store);
+
+        let hw = |event_driven, compiled| {
+            let mut sim = HwSim::with_store(&d, preload()).unwrap();
+            sim.event_driven = event_driven;
+            sim.compiled = compiled;
+            sim.run_until_quiescent(1_000).unwrap();
+            sim
+        };
+        let naive = hw(false, false);
+        let compiled = hw(true, true);
+        assert!(compiled.exec.natives.is_empty(), "tree store was lowered");
+        let (rn, rc) = (naive.report(), compiled.report());
+        assert_eq!((rc.cycles, &rc.fired), (rn.cycles, &rn.fired));
+        assert_eq!(compiled.store, naive.store);
+    }
 
     #[test]
     fn cost_model_weighs_counters() {

@@ -7,19 +7,13 @@
 //! through the [`CostModel`] so the runner can report "CPU cycles", which
 //! is what stands in for wall-clock time of the generated C++.
 
-use super::CostModel;
+use super::{CostModel, RuleExec};
 use crate::analysis::{successors, Sensitivity};
 use crate::ast::PrimId;
 use crate::codec::{self, ByteReader, ByteWriter, CodecResult};
-use crate::compile::{
-    self, eval_guard_native, run_rule_inplace_native, run_rule_native, NativeFrame, NativeRule,
-};
 use crate::design::Design;
 use crate::error::ExecResult;
-use crate::exec::{
-    eval_guard_compiled, eval_guard_ro, run_rule, run_rule_compiled, run_rule_inplace,
-    run_rule_inplace_compiled, RuleOutcome, Vm,
-};
+use crate::exec::RuleOutcome;
 use crate::store::{Cost, ShadowPolicy, Store, StoreSnapshot};
 use crate::xform::{compile_design, CompileOpts, ExecMode, RulePlan};
 use std::collections::VecDeque;
@@ -41,41 +35,45 @@ pub enum Strategy {
     Dataflow,
 }
 
-/// The executor/store combination a run should use — a shorthand over
-/// the [`SwOptions`] `event_driven`/`flat`/`compiled` flags for callers
-/// (benchmarks, tests) that sweep backends. Every backend is bit- and
-/// cycle-identical in results and metered costs; only wall-clock
+/// The two executors a run can use — a shorthand over the
+/// [`SwOptions`] `event_driven`/`flat`/`compiled` flags. Both are bit-
+/// and cycle-identical in results and metered costs; only wall-clock
 /// simulator time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// Naive reference scheduler (every guard re-evaluated every step)
-    /// on the tree store.
+    /// The reference oracle: naive scheduling (every guard re-evaluated
+    /// every step) running the AST interpreter on the tree store.
     Naive,
-    /// Event-driven scheduler driving the stack-machine [`Vm`] on the
-    /// tree store.
-    Event,
-    /// Event-driven scheduler driving the [`Vm`] on the bit-packed flat
+    /// The production path: event-driven scheduling running
+    /// closure-threaded native rules ([`crate::compile`]) on the flat
     /// arena store.
-    Flat,
-    /// Event-driven scheduler driving closure-threaded native rules
-    /// ([`crate::compile`]) on the flat arena store.
     Compiled,
 }
 
 impl ExecBackend {
     /// The [`SwOptions::event_driven`] flag for this backend.
     pub fn event_driven(self) -> bool {
-        self != ExecBackend::Naive
+        self == ExecBackend::Compiled
     }
 
     /// The [`SwOptions::flat`] flag for this backend.
     pub fn flat(self) -> bool {
-        matches!(self, ExecBackend::Flat | ExecBackend::Compiled)
+        self == ExecBackend::Compiled
     }
 
     /// The [`SwOptions::compiled`] flag for this backend.
     pub fn compiled(self) -> bool {
         self == ExecBackend::Compiled
+    }
+
+    /// Default [`SwOptions`] with this backend's three flags set.
+    pub fn sw_options(self) -> SwOptions {
+        SwOptions {
+            event_driven: self.event_driven(),
+            flat: self.flat(),
+            compiled: self.compiled(),
+            ..SwOptions::default()
+        }
     }
 }
 
@@ -103,10 +101,11 @@ pub struct SwOptions {
     /// the fuzz farm proves it — only wall-clock time changes.
     pub flat: bool,
     /// Execute rules through the closure-threaded native backend
-    /// ([`crate::compile`]) instead of the stack-machine [`Vm`]. Metered
-    /// costs, verdicts, and error texts are bit-identical to both
-    /// interpreters (the fuzz farm's sixth leg proves it); only
-    /// wall-clock time changes.
+    /// ([`crate::compile`]) instead of the AST interpreter. Lowering
+    /// targets the flat arena, so this takes effect only together with
+    /// `flat`; on a tree store the runner interprets. Metered costs,
+    /// verdicts, and error texts are bit-identical to the interpreter
+    /// (the fuzz farm proves it); only wall-clock time changes.
     pub compiled: bool,
 }
 
@@ -228,9 +227,7 @@ pub struct SwRunner {
     /// since the last evaluation.
     verdicts: Vec<Option<(bool, Cost)>>,
     dirty_scratch: Vec<PrimId>,
-    vm: Vm,
-    natives: Vec<NativeRule>,
-    frame: NativeFrame,
+    pub(super) exec: RuleExec,
 }
 
 impl SwRunner {
@@ -240,14 +237,16 @@ impl SwRunner {
     }
 
     /// Creates a runner with a pre-populated store (e.g. preloaded sources).
+    /// Rules are lowered to native closures only when `opts.compiled` is
+    /// set and `store` is flat; otherwise the runner interprets.
     pub fn with_store(design: &Design, store: Store, opts: SwOptions) -> SwRunner {
         let plans = compile_design(design, opts.compile);
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        let natives = if opts.compiled {
-            compile::compile_plans(&plans, design)
+        let exec = if opts.compiled {
+            RuleExec::new(&plans, design, &store)
         } else {
-            Vec::new()
+            RuleExec::default()
         };
         SwRunner {
             plans,
@@ -263,9 +262,7 @@ impl SwRunner {
             chain: VecDeque::new(),
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
-            vm: Vm::default(),
-            natives,
-            frame: NativeFrame::new(),
+            exec,
         }
     }
 
@@ -295,6 +292,7 @@ impl SwRunner {
             self.sync_dirty();
         }
         let plan = &self.plans[i];
+        let native = self.opts.compiled;
         if let Some(g) = &plan.guard {
             let ok = if self.opts.event_driven {
                 if let Some((v, c)) = &self.verdicts[i] {
@@ -309,36 +307,14 @@ impl SwRunner {
                     v
                 } else {
                     let mut delta = Cost::default();
-                    let v = if self.opts.compiled {
-                        match &self.natives[i].guard {
-                            Some(cg) => {
-                                eval_guard_native(&mut self.frame, &self.store, cg, &mut delta)?
-                            }
-                            None => eval_guard_ro(&mut self.store, g, &mut delta)?,
-                        }
-                    } else {
-                        match &plan.guard_prog {
-                            Some(p) => {
-                                eval_guard_compiled(&mut self.vm, &self.store, p, &mut delta)?
-                            }
-                            None => eval_guard_ro(&mut self.store, g, &mut delta)?,
-                        }
-                    };
+                    let v = self.exec.guard(native, &mut self.store, i, g, &mut delta)?;
                     self.cost.add(&delta);
                     self.verdicts[i] = Some((v, delta));
                     v
                 }
-            } else if self.opts.compiled {
-                // Naive mode still runs compiled guards natively — cost
-                // parity with `eval_guard_ro` is proven per-node.
-                match &self.natives[i].guard {
-                    Some(cg) => {
-                        eval_guard_native(&mut self.frame, &self.store, cg, &mut self.cost)?
-                    }
-                    None => eval_guard_ro(&mut self.store, g, &mut self.cost)?,
-                }
             } else {
-                eval_guard_ro(&mut self.store, g, &mut self.cost)?
+                self.exec
+                    .guard(native, &mut self.store, i, g, &mut self.cost)?
             };
             if !ok {
                 self.failed[i] += 1;
@@ -347,38 +323,14 @@ impl SwRunner {
         }
         let fired = match plan.mode {
             ExecMode::InPlace => {
-                let c = if self.opts.compiled {
-                    match &self.natives[i].body {
-                        Some(cb) => run_rule_inplace_native(&mut self.frame, &mut self.store, cb)?,
-                        None => run_rule_inplace(&mut self.store, &plan.body)?,
-                    }
-                } else {
-                    match (&plan.body_prog, self.opts.event_driven) {
-                        (Some(p), true) => {
-                            run_rule_inplace_compiled(&mut self.vm, &mut self.store, p)?
-                        }
-                        _ => run_rule_inplace(&mut self.store, &plan.body)?,
-                    }
-                };
+                let c = self.exec.body_inplace(native, &mut self.store, i, plan)?;
                 self.cost.add(&c);
                 true
             }
             ExecMode::Transactional => {
-                let (out, c) = if self.opts.compiled {
-                    match &self.natives[i].body {
-                        Some(cb) => {
-                            run_rule_native(&mut self.frame, &mut self.store, cb, self.opts.shadow)?
-                        }
-                        None => run_rule(&mut self.store, &plan.body, self.opts.shadow)?,
-                    }
-                } else {
-                    match (&plan.body_prog, self.opts.event_driven) {
-                        (Some(p), true) => {
-                            run_rule_compiled(&mut self.vm, &mut self.store, p, self.opts.shadow)?
-                        }
-                        _ => run_rule(&mut self.store, &plan.body, self.opts.shadow)?,
-                    }
-                };
+                let (out, c) =
+                    self.exec
+                        .body(native, &mut self.store, i, plan, self.opts.shadow)?;
                 self.cost.add(&c);
                 out == RuleOutcome::Fired
             }
@@ -674,33 +626,33 @@ mod tests {
 
     #[test]
     fn compiled_backend_is_cycle_identical() {
+        // Native rules on the flat store against the interpreter on the
+        // tree store, under both scheduling modes.
         for event_driven in [false, true] {
-            for flat in [false, true] {
-                let mut runs = Vec::new();
-                for compiled in [false, true] {
-                    let d = pipeline();
-                    let mut store = Store::new_like(&d, flat);
-                    for i in 0..5 {
-                        store.push_source(PrimId(0), Value::int(32, i));
-                    }
-                    let opts = SwOptions {
-                        event_driven,
-                        flat,
-                        compiled,
-                        ..Default::default()
-                    };
-                    let mut r = SwRunner::with_store(&d, store, opts);
-                    r.run_until_quiescent(1000).unwrap();
-                    let out: Vec<i64> = r
-                        .store
-                        .sink_values(PrimId(2))
-                        .iter()
-                        .map(|v| v.as_int().unwrap())
-                        .collect();
-                    runs.push((out, r.report()));
+            let mut runs = Vec::new();
+            for compiled in [false, true] {
+                let d = pipeline();
+                let mut store = Store::new_like(&d, compiled);
+                for i in 0..5 {
+                    store.push_source(PrimId(0), Value::int(32, i));
                 }
-                assert_eq!(runs[0], runs[1], "event_driven={event_driven} flat={flat}");
+                let opts = SwOptions {
+                    event_driven,
+                    flat: compiled,
+                    compiled,
+                    ..Default::default()
+                };
+                let mut r = SwRunner::with_store(&d, store, opts);
+                r.run_until_quiescent(1000).unwrap();
+                let out: Vec<i64> = r
+                    .store
+                    .sink_values(PrimId(2))
+                    .iter()
+                    .map(|v| v.as_int().unwrap())
+                    .collect();
+                runs.push((out, r.report()));
             }
+            assert_eq!(runs[0], runs[1], "event_driven={event_driven}");
         }
     }
 

@@ -16,7 +16,7 @@
 use bcl_core::domain::SW;
 use bcl_core::partition::{fuse_partitioned, partition};
 use bcl_core::prim::PrimSpec;
-use bcl_core::sched::{SwOptions, SwRunner};
+use bcl_core::sched::{ExecBackend, SwRunner};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::{analysis, elaborate, Design, PrimId};
@@ -47,14 +47,8 @@ fn source_width(d: &Design, id: PrimId) -> Result<u32, String> {
 
 /// Runs a design on a [`SwRunner`] with preloaded sources and returns
 /// the per-sink output streams, keyed by sink path.
-fn run_sw(d: &Design, event_driven: bool) -> Result<BTreeMap<String, Vec<i64>>, String> {
-    let mut r = SwRunner::new(
-        d,
-        SwOptions {
-            event_driven,
-            ..SwOptions::default()
-        },
-    );
+fn run_sw(d: &Design, backend: ExecBackend) -> Result<BTreeMap<String, Vec<i64>>, String> {
+    let mut r = SwRunner::new(d, backend.sw_options());
     for id in d.sources() {
         let w = source_width(d, id)?;
         for v in 0..FEED {
@@ -84,8 +78,10 @@ fn run_sw(d: &Design, event_driven: bool) -> Result<BTreeMap<String, Vec<i64>>, 
 }
 
 /// Replays one corpus design through parse → typecheck → elaborate →
-/// validate and then through every executor leg of the differential
-/// harness ([`crate::diff::run_case`]), requiring agreement.
+/// validate and then through the executor legs of the differential
+/// harness ([`crate::diff::run_case`]) — reference and compiled
+/// software, the fused design, and the compiled co-simulation —
+/// requiring agreement.
 pub fn replay(src: &str) -> Result<(), String> {
     let program = bcl_frontend::parser::parse(src).map_err(|e| format!("parse: {e}"))?;
     bcl_frontend::typecheck::typecheck(&program).map_err(|e| format!("typecheck: {e}"))?;
@@ -95,37 +91,35 @@ pub fn replay(src: &str) -> Result<(), String> {
         format!("validate: {}", msgs.join("; "))
     })?;
 
-    // Executors A and B: naive and event-driven software.
-    let naive = run_sw(&design, false)?;
-    let event = run_sw(&design, true)?;
-    if naive != event {
+    // The reference and compiled software.
+    let naive = run_sw(&design, ExecBackend::Naive)?;
+    let compiled = run_sw(&design, ExecBackend::Compiled)?;
+    if naive != compiled {
         return Err(format!(
-            "event-driven Vm disagrees with naive interpreter:\n  naive {naive:?}\n  \
-             event {event:?}"
+            "compiled backend disagrees with the reference:\n  naive {naive:?}\n  \
+             compiled {compiled:?}"
         ));
     }
 
-    // Executor C: fused single-process design.
+    // Fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
-    let fused_out = run_sw(&fused.design, true)?;
+    let fused_out = run_sw(&fused.design, ExecBackend::Compiled)?;
     if fused_out != naive {
         return Err(format!(
             "fused design disagrees:\n  fused {fused_out:?}\n  naive {naive:?}"
         ));
     }
 
-    // Executor D: fault-free N-partition co-simulation.
+    // Fault-free compiled N-partition co-simulation.
     let hw = parts.hw_domains(SW);
-    let cfgs: Vec<HwPartitionCfg> = hw.iter().map(|d| HwPartitionCfg::new(d)).collect();
-    let mut cs = Cosim::multi(
-        &parts,
-        SW,
-        &cfgs,
-        InterHwRouting::ViaHub,
-        SwOptions::default(),
-    )
-    .map_err(|e| format!("cosim setup: {e}"))?;
+    let cfgs: Vec<HwPartitionCfg> = hw
+        .iter()
+        .map(|d| HwPartitionCfg::new(d).with_compiled(true))
+        .collect();
+    let sw_opts = ExecBackend::Compiled.sw_options();
+    let mut cs = Cosim::multi(&parts, SW, &cfgs, InterHwRouting::ViaHub, sw_opts)
+        .map_err(|e| format!("cosim setup: {e}"))?;
     for id in design.sources() {
         let w = source_width(&design, id)?;
         let path = design.prim(id).path.to_string();

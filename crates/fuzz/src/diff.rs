@@ -1,31 +1,24 @@
-//! The differential harness: one generated design, seven executor legs,
-//! one verdict.
+//! The differential harness: one generated design, the reference and
+//! the compiled executor, one verdict.
 //!
 //! [`run_case`] pushes a spec through the full toolchain and then runs
-//! the elaborated design on every executor the workspace has:
+//! the elaborated design on both executors the workspace has
+//! ([`ExecBackend`]):
 //!
-//! 1. the naive interpreter (`SwRunner` with `event_driven: false`),
-//! 2. the event-driven Vm (`event_driven: true`), which must match the
-//!    naive run *cycle-identically* (same `cpu_cycles`, same per-rule
-//!    firing counts), not just value-identically,
-//! 3. the fused single-process design (`fuse_partitioned`),
-//! 4. the N-partition co-simulation under the given fault plan,
-//! 5. the flat arena store (`SwOptions { flat: true }`): naive and
-//!    event-driven software runs plus a flat-backed co-simulation, each
-//!    of which must be bit- and cycle-identical to its tree-backed twin,
-//!    and
-//! 6. the closure-threaded native backend (`SwOptions { compiled: true
-//!    }`): compiled naive and compiled event-driven software runs plus a
-//!    compiled co-simulation, each bit- and cycle-identical to its
-//!    interpreted twin, and
-//! 7. the word path (`compiled: true, flat: true`): the same native
-//!    closures over the flat arena, with scalar port traffic running as
-//!    unboxed `u64` words — again bit- and cycle-identical.
+//! 1. the reference (`SwRunner` on [`ExecBackend::Naive`]: naive
+//!    scheduling, the AST interpreter, the tree store),
+//! 2. compiled software ([`ExecBackend::Compiled`]: event-driven
+//!    scheduling, native closures, the flat arena store), which must
+//!    match the reference *cycle-identically* (same `cpu_cycles`, same
+//!    per-rule firing and failure counts), not just value-identically,
+//! 3. the fused single-process design (`fuse_partitioned`) on the
+//!    compiled backend, and
+//! 4. the compiled N-partition co-simulation under the given fault plan.
 //!
 //! All output streams must equal the spec's gold model bit-for-bit. For
-//! fault-free plans the co-simulation additionally runs in both
-//! event-driven and naive hardware modes and the modeled FPGA cycle
-//! counts must agree exactly.
+//! fault-free plans the co-simulation additionally runs on the naive
+//! reference hardware scheduler, and the modeled FPGA cycle counts must
+//! agree exactly.
 //!
 //! Failures come back as `Err(String)` with the pretty-printed program
 //! embedded, so a failing case can be promoted into `tests/corpus/`
@@ -34,7 +27,7 @@
 use crate::gen::{build_program, expected_outputs, DesignSpec, FaultPlan};
 use bcl_core::domain::SW;
 use bcl_core::partition::{fuse_partitioned, partition};
-use bcl_core::sched::{Strategy, SwOptions, SwRunner};
+use bcl_core::sched::{ExecBackend, Strategy, SwOptions, SwRunner};
 use bcl_core::value::Value;
 use bcl_core::{analysis, elaborate, Design};
 use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
@@ -60,23 +53,10 @@ fn sink_ints(d: &Design, runner: &SwRunner, path: &str) -> Result<Vec<i64>, Stri
         .collect()
 }
 
-fn run_sw(d: &Design, spec: &DesignSpec, event_driven: bool) -> Result<SwRunner, String> {
-    run_sw_on(d, spec, event_driven, false, false)
-}
-
-fn run_sw_on(
-    d: &Design,
-    spec: &DesignSpec,
-    event_driven: bool,
-    flat: bool,
-    compiled: bool,
-) -> Result<SwRunner, String> {
+fn run_sw(d: &Design, spec: &DesignSpec, backend: ExecBackend) -> Result<SwRunner, String> {
     let opts = SwOptions {
         strategy: Strategy::Dataflow,
-        event_driven,
-        flat,
-        compiled,
-        ..SwOptions::default()
+        ..backend.sw_options()
     };
     let mut r = SwRunner::new(d, opts);
     let src = d
@@ -123,230 +103,113 @@ fn run_case_inner(
 
     let gold = expected_outputs(spec);
 
-    // Executor A: naive interpreter.
-    let naive = run_sw(&design, spec, false)?;
-    let got_a = sink_ints(&design, &naive, "snk")?;
-    if got_a != gold {
+    // The reference: naive interpreter.
+    let naive = run_sw(&design, spec, ExecBackend::Naive)?;
+    let got = sink_ints(&design, &naive, "snk")?;
+    if got != gold {
         return Err(format!(
-            "naive interpreter disagrees with gold model:\n  got  {got_a:?}\n  want {gold:?}"
+            "reference interpreter disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"
         ));
     }
 
-    // Executor B: event-driven Vm — value- and cycle-identical to A.
-    let event = run_sw(&design, spec, true)?;
-    let got_b = sink_ints(&design, &event, "snk")?;
-    if got_b != gold {
+    // Compiled software — value- and cycle-identical to the reference.
+    let compiled = run_sw(&design, spec, ExecBackend::Compiled)?;
+    let got = sink_ints(&design, &compiled, "snk")?;
+    if got != gold {
         return Err(format!(
-            "event-driven Vm disagrees with gold model:\n  got  {got_b:?}\n  want {gold:?}"
+            "compiled backend disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"
         ));
     }
-    let (ra, rb) = (naive.report(), event.report());
-    if ra != rb {
+    let (rn, rc) = (naive.report(), compiled.report());
+    if rn != rc {
         return Err(format!(
-            "event-driven Vm is not cycle-identical to the naive interpreter:\n  \
-             naive {ra:?}\n  event {rb:?}"
+            "compiled backend is not cycle-identical to the reference:\n  \
+             naive {rn:?}\n  compiled {rc:?}"
         ));
     }
 
-    // Executor E (software half): the flat arena store, in both guard
-    // scheduling modes. Each run must be bit- and cycle-identical to
-    // its tree-backed twin — equal sink streams and equal SwReports
-    // (per-rule firing counts and modeled cpu_cycles).
-    for (event_driven, tree_report) in [(false, &ra), (true, &rb)] {
-        let flat_run = run_sw_on(&design, spec, event_driven, true, false)?;
-        let got = sink_ints(&design, &flat_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "flat store (event_driven={event_driven}) disagrees with gold model:\n  \
-                 got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rf = flat_run.report();
-        if rf != *tree_report {
-            return Err(format!(
-                "flat store (event_driven={event_driven}) is not cycle-identical to the \
-                 tree store:\n  tree {tree_report:?}\n  flat {rf:?}"
-            ));
-        }
-    }
-
-    // Executor F (software half): the closure-threaded native backend,
-    // in both guard scheduling modes. Each run must be bit- and
-    // cycle-identical to its interpreted twin.
-    for (event_driven, tree_report) in [(false, &ra), (true, &rb)] {
-        let native_run = run_sw_on(&design, spec, event_driven, false, true)?;
-        let got = sink_ints(&design, &native_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "compiled backend (event_driven={event_driven}) disagrees with gold model:\n  \
-                 got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rn = native_run.report();
-        if rn != *tree_report {
-            return Err(format!(
-                "compiled backend (event_driven={event_driven}) is not cycle-identical to \
-                 the interpreter:\n  interp {tree_report:?}\n  compiled {rn:?}"
-            ));
-        }
-        // And the word path: the same native closures over a flat
-        // arena store, where scalar port traffic runs unboxed.
-        let word_run = run_sw_on(&design, spec, event_driven, true, true)?;
-        let got = sink_ints(&design, &word_run, "snk")?;
-        if got != gold {
-            return Err(format!(
-                "compiled+flat backend (event_driven={event_driven}) disagrees with gold \
-                 model:\n  got  {got:?}\n  want {gold:?}"
-            ));
-        }
-        let rw = word_run.report();
-        if rw != *tree_report {
-            return Err(format!(
-                "compiled+flat backend (event_driven={event_driven}) is not cycle-identical \
-                 to the interpreter:\n  interp {tree_report:?}\n  compiled+flat {rw:?}"
-            ));
-        }
-    }
-
-    // Executor C: fused single-process design.
+    // Fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
-    let fused_run = run_sw(&fused.design, spec, true)?;
-    let got_c = sink_ints(&fused.design, &fused_run, "snk")?;
-    if got_c != gold {
+    let fused_run = run_sw(&fused.design, spec, ExecBackend::Compiled)?;
+    let got = sink_ints(&fused.design, &fused_run, "snk")?;
+    if got != gold {
         return Err(format!(
-            "fused design disagrees with gold model:\n  got  {got_c:?}\n  want {gold:?}"
+            "fused design disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"
         ));
     }
 
-    // Executor D: N-partition co-simulation under the fault plan.
+    // N-partition co-simulation under the fault plan.
     let hw = parts.hw_domains(SW);
-    let cosim_cycles_of =
-        |hw_event_driven: bool, flat: bool, compiled: bool| -> Result<(Vec<i64>, u64), String> {
-            let cfgs: Vec<HwPartitionCfg> = hw
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let fc = if i == 0 {
-                        plan.fault_config()
-                    } else {
-                        plan.link_only_config()
-                    };
-                    HwPartitionCfg::new(d)
-                        .with_faults(fc)
-                        .with_event_driven(hw_event_driven)
-                        .with_compiled(compiled)
-                })
-                .collect();
-            let routing = if plan.fabric {
-                InterHwRouting::fabric()
-            } else {
-                InterHwRouting::ViaHub
-            };
-            let sw_opts = SwOptions {
-                flat,
-                compiled,
-                ..SwOptions::default()
-            };
-            let mut cs = Cosim::multi(&parts, SW, &cfgs, routing, sw_opts)
-                .map_err(|e| format!("cosim setup: {e}"))?;
-            if let Some(p) = plan.recovery() {
-                cs.set_recovery_policy(p);
-            }
-            for &v in &spec.items {
-                cs.try_push_source("src", Value::int(spec.width, v))
-                    .map_err(|e| format!("cosim push: {e}"))?;
-            }
-            let n = gold.len();
-            let out = cs
-                .run_until(|c| c.sink_count("snk") == n, COSIM_BUDGET)
-                .map_err(|e| format!("cosim run: {e}"))?;
-            if !out.is_done() {
-                return Err(format!(
-                    "cosim did not deliver all {n} outputs within {COSIM_BUDGET} cycles \
-                 (got {})",
-                    cs.sink_count("snk")
-                ));
-            }
-            let got: Vec<i64> = cs
-                .sink_values("snk")
-                .iter()
-                .map(|v| v.as_int().map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?;
-            Ok((got, out.fpga_cycles()))
+    let cosim_cycles_of = |backend: ExecBackend| -> Result<(Vec<i64>, u64), String> {
+        let cfgs: Vec<HwPartitionCfg> = hw
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let fc = if i == 0 {
+                    plan.fault_config()
+                } else {
+                    plan.link_only_config()
+                };
+                HwPartitionCfg::new(d)
+                    .with_faults(fc)
+                    .with_event_driven(backend.event_driven())
+                    .with_compiled(backend.compiled())
+            })
+            .collect();
+        let routing = if plan.fabric {
+            InterHwRouting::fabric()
+        } else {
+            InterHwRouting::ViaHub
         };
-
-    let (got_d, cycles_event) = cosim_cycles_of(true, false, false)?;
-    if got_d != gold {
-        return Err(format!(
-            "co-simulation disagrees with gold model:\n  got  {got_d:?}\n  want {gold:?}"
-        ));
-    }
-
-    // Executor E (platform half): the same co-simulation over flat
-    // arena stores on both sides of the link — same value stream, same
-    // modeled FPGA time.
-    let (got_flat, cycles_flat) = cosim_cycles_of(true, true, false)?;
-    if got_flat != gold {
-        return Err(format!(
-            "flat-store co-simulation disagrees with gold model:\n  \
-             got  {got_flat:?}\n  want {gold:?}"
-        ));
-    }
-    if cycles_flat != cycles_event {
-        return Err(format!(
-            "flat-store co-simulation is not cycle-identical to the tree store: \
-             {cycles_flat} vs {cycles_event} FPGA cycles"
-        ));
-    }
-
-    // Executor F (platform half): the same co-simulation with every
-    // scheduler on the native backend — same value stream, same modeled
-    // FPGA time.
-    let (got_native, cycles_native) = cosim_cycles_of(true, false, true)?;
-    if got_native != gold {
-        return Err(format!(
-            "compiled co-simulation disagrees with gold model:\n  \
-             got  {got_native:?}\n  want {gold:?}"
-        ));
-    }
-    if cycles_native != cycles_event {
-        return Err(format!(
-            "compiled co-simulation is not cycle-identical to the interpreter: \
-             {cycles_native} vs {cycles_event} FPGA cycles"
-        ));
-    }
-
-    // Word path: the native backend over flat arena stores on both
-    // sides of the link — unboxed port traffic, same stream, same time.
-    let (got_word, cycles_word) = cosim_cycles_of(true, true, true)?;
-    if got_word != gold {
-        return Err(format!(
-            "compiled+flat co-simulation disagrees with gold model:\n  \
-             got  {got_word:?}\n  want {gold:?}"
-        ));
-    }
-    if cycles_word != cycles_event {
-        return Err(format!(
-            "compiled+flat co-simulation is not cycle-identical to the interpreter: \
-             {cycles_word} vs {cycles_event} FPGA cycles"
-        ));
-    }
-
-    // For fault-free plans the event-driven and naive hardware
-    // schedulers must also agree on modeled FPGA time exactly.
-    if plan.is_fault_free() && !hw.is_empty() {
-        let (got_naive_hw, cycles_naive) = cosim_cycles_of(false, false, false)?;
-        if got_naive_hw != gold {
+        let mut cs = Cosim::multi(&parts, SW, &cfgs, routing, backend.sw_options())
+            .map_err(|e| format!("cosim setup: {e}"))?;
+        if let Some(p) = plan.recovery() {
+            cs.set_recovery_policy(p);
+        }
+        for &v in &spec.items {
+            cs.try_push_source("src", Value::int(spec.width, v))
+                .map_err(|e| format!("cosim push: {e}"))?;
+        }
+        let n = gold.len();
+        let out = cs
+            .run_until(|c| c.sink_count("snk") == n, COSIM_BUDGET)
+            .map_err(|e| format!("cosim run: {e}"))?;
+        if !out.is_done() {
             return Err(format!(
-                "naive-hardware co-simulation disagrees with gold model:\n  \
-                 got  {got_naive_hw:?}\n  want {gold:?}"
+                "cosim did not deliver all {n} outputs within {COSIM_BUDGET} cycles (got {})",
+                cs.sink_count("snk")
             ));
         }
-        if cycles_event != cycles_naive {
+        let got: Vec<i64> = cs
+            .sink_values("snk")
+            .iter()
+            .map(|v| v.as_int().map_err(|e| e.to_string()))
+            .collect::<Result<_, _>>()?;
+        Ok((got, out.fpga_cycles()))
+    };
+
+    let (got, cycles_compiled) = cosim_cycles_of(ExecBackend::Compiled)?;
+    if got != gold {
+        return Err(format!(
+            "compiled co-simulation disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"
+        ));
+    }
+
+    // For fault-free plans the naive reference and compiled hardware
+    // schedulers must also agree on modeled FPGA time exactly.
+    if plan.is_fault_free() && !hw.is_empty() {
+        let (got, cycles_naive) = cosim_cycles_of(ExecBackend::Naive)?;
+        if got != gold {
             return Err(format!(
-                "event-driven hardware is not cycle-identical to naive hardware: \
-                 {cycles_event} vs {cycles_naive} FPGA cycles"
+                "reference co-simulation disagrees with gold model:\n  \
+                 got  {got:?}\n  want {gold:?}"
+            ));
+        }
+        if cycles_compiled != cycles_naive {
+            return Err(format!(
+                "compiled hardware is not cycle-identical to naive hardware: \
+                 {cycles_compiled} vs {cycles_naive} FPGA cycles"
             ));
         }
     }

@@ -13,11 +13,12 @@
 //!   submodule value methods, multi-domain channel assignments), plus
 //!   random link-fault/partition-fault/recovery-policy schedules.
 //! * [`diff`] — the harness: each generated design runs through the
-//!   naive interpreter, the event-driven Vm, the fused single-process
-//!   design, and the N-partition co-simulation under faults; all four
-//!   value streams must equal the spec's independently computed gold
-//!   model, and modeled cycle counts must be identical where the
-//!   comparison is meaningful (naive vs. event-driven).
+//!   naive reference interpreter, the compiled backend, the fused
+//!   single-process design, and the compiled N-partition co-simulation
+//!   under faults; all four value streams must equal the spec's
+//!   independently computed gold model, and modeled cycle counts must
+//!   be identical where the comparison is meaningful (reference vs.
+//!   compiled).
 //! * [`shrink`] + [`corpus`] — spec-level minimization of failing
 //!   cases (the vendored proptest stub does not shrink) and replay of
 //!   checked-in `tests/corpus/*.bcl` regressions through every

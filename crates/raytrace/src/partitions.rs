@@ -145,7 +145,8 @@ impl RtRun {
     }
 }
 
-/// Runs one partition over a scene.
+/// Runs one partition over a scene, with every scheduler on the
+/// production [`ExecBackend::Compiled`] path.
 ///
 /// # Errors
 ///
@@ -195,10 +196,11 @@ pub fn run_partition_with_recovery(
     run_partition_full(which, bvh, width, height, faults, policy, true)
 }
 
-/// Runs one partition with every scheduler in naive (evaluate-every-guard)
-/// reference mode. Cycle counts and the image are identical to
+/// Runs one partition on the [`ExecBackend::Naive`] reference: every
+/// scheduler evaluates every guard each step and interprets the rules
+/// over tree stores. Cycle counts and the image are identical to
 /// [`run_partition`]; only simulator wall-clock time differs. Used as the
-/// test oracle and benchmark baseline for the event-driven scheduler.
+/// test oracle for the compiled backend.
 ///
 /// # Errors
 ///
@@ -220,47 +222,8 @@ pub fn run_partition_naive(
     )
 }
 
-/// Runs one partition with every store backed by the bit-packed flat
-/// arena ([`SwOptions::flat`]). Cycle counts and the image are identical
-/// to [`run_partition`]; only simulator wall-clock time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_flat(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-) -> Result<RtRun, PlatformError> {
-    let cosim = build_cosim(which, bvh, width, height, ExecBackend::Flat)?;
-    run_built(cosim, which, width * height)
-}
-
-/// Runs one partition with every scheduler executing through the
-/// closure-threaded native backend over the bit-packed flat arena
-/// ([`SwOptions::compiled`] + [`SwOptions::flat`]). Cycle counts and
-/// the image are identical to [`run_partition`]; only simulator
-/// wall-clock time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_compiled(
-    which: RtPartition,
-    bvh: &Bvh,
-    width: usize,
-    height: usize,
-) -> Result<RtRun, PlatformError> {
-    let cosim = build_cosim(which, bvh, width, height, ExecBackend::Compiled)?;
-    run_built(cosim, which, width * height)
-}
-
 /// Builds the fault-free co-simulation for a partition on the given
 /// executor backend, with the ray stream queued but nothing run yet.
-/// Together with [`run_built`] this splits a partition run into its
-/// one-time construction phase (elaborate + partition + lower rules)
-/// and its simulation phase, so benchmarks can time them separately.
 ///
 /// # Errors
 ///
@@ -279,20 +242,8 @@ pub fn build_cosim(
         height,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        backend.event_driven(),
-        backend.flat(),
-        backend.compiled(),
+        backend,
     )
-}
-
-/// Runs a co-simulation built by [`build_cosim`] to ray-stream
-/// completion — the simulation phase of a partition run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_built(cosim: Cosim, which: RtPartition, want: usize) -> Result<RtRun, PlatformError> {
-    finish_run(cosim, which, want, false)
 }
 
 /// Builds the co-simulation for a partition exactly as every run entry
@@ -300,6 +251,8 @@ pub fn run_built(cosim: Cosim, which: RtPartition, want: usize) -> Result<RtRun,
 /// arguments, so two processes calling it with the same arguments get
 /// interchangeable systems — the contract [`resume_partition`] and
 /// [`run_partition_migrated`] rely on (the design fingerprint pins it).
+/// `event_driven` selects [`ExecBackend::Compiled`]; `false` selects the
+/// [`ExecBackend::Naive`] reference.
 pub fn make_cosim(
     which: RtPartition,
     bvh: &Bvh,
@@ -309,20 +262,14 @@ pub fn make_cosim(
     policy: RecoveryPolicy,
     event_driven: bool,
 ) -> Result<Cosim, PlatformError> {
-    make_cosim_full(
-        which,
-        bvh,
-        width,
-        height,
-        faults,
-        policy,
-        event_driven,
-        false,
-        false,
-    )
+    let backend = if event_driven {
+        ExecBackend::Compiled
+    } else {
+        ExecBackend::Naive
+    };
+    make_cosim_full(which, bvh, width, height, faults, policy, backend)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn make_cosim_full(
     which: RtPartition,
     bvh: &Bvh,
@@ -330,19 +277,14 @@ fn make_cosim_full(
     height: usize,
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
-    flat: bool,
-    compiled: bool,
+    backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
     let cfg = which.config(width, height);
     let design = build_design(bvh, &cfg).map_err(|e| PlatformError::new(e.to_string()))?;
     let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
     let sw_opts = SwOptions {
         strategy: Strategy::Dataflow,
-        event_driven,
-        flat,
-        compiled,
-        ..Default::default()
+        ..backend.sw_options()
     };
     // One link configuration per distinct hardware domain; the fault
     // model (including scripted partition faults) applies to the first
@@ -363,8 +305,8 @@ fn make_cosim_full(
         .map(|(i, d)| {
             let c = HwPartitionCfg::new(d)
                 .with_link(ml507_link())
-                .with_event_driven(event_driven)
-                .with_compiled(compiled);
+                .with_event_driven(backend.event_driven())
+                .with_compiled(backend.compiled());
             if i == 0 {
                 c.with_faults(faults.clone())
             } else {
@@ -681,13 +623,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_backend_is_cycle_identical_on_partitions() {
+    fn compiled_matches_naive_reference_on_partitions() {
         let scene = make_scene(48, 5);
         let bvh = build_bvh(&scene);
         let (w, h) = (4, 4);
         for p in [RtPartition::A, RtPartition::C] {
-            let base = run_partition(p, &bvh, w, h).unwrap();
-            let compiled = run_partition_compiled(p, &bvh, w, h).unwrap();
+            let base = run_partition_naive(p, &bvh, w, h).unwrap();
+            let compiled = run_partition(p, &bvh, w, h).unwrap();
             assert_eq!(compiled.image, base.image, "partition {}", p.label());
             assert_eq!(
                 compiled.fpga_cycles,

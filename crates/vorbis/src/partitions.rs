@@ -162,7 +162,8 @@ impl VorbisRun {
     }
 }
 
-/// Runs a partition over a frame stream on the modeled platform.
+/// Runs a partition over a frame stream on the modeled platform, with
+/// every scheduler on the production [`ExecBackend::Compiled`] path.
 ///
 /// # Errors
 ///
@@ -216,10 +217,11 @@ pub fn run_partition_with_recovery(
     run_partition_full(which, frames, faults, policy, true)
 }
 
-/// Runs a partition with every scheduler in naive (evaluate-every-guard)
-/// reference mode. Cycle counts and PCM are identical to
+/// Runs a partition on the [`ExecBackend::Naive`] reference: every
+/// scheduler evaluates every guard each step and interprets the rules
+/// over tree stores. Cycle counts and PCM are identical to
 /// [`run_partition`]; only simulator wall-clock time differs. Used as the
-/// test oracle and benchmark baseline for the event-driven scheduler.
+/// test oracle for the compiled backend.
 ///
 /// # Errors
 ///
@@ -237,49 +239,8 @@ pub fn run_partition_naive(
     )
 }
 
-/// Runs a partition with every store backed by the bit-packed flat
-/// arena ([`SwOptions::flat`]). Cycle counts and PCM are identical to
-/// [`run_partition`]; only simulator wall-clock time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_flat(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-) -> Result<VorbisRun, PlatformError> {
-    run_built(
-        build_cosim(which, frames, ExecBackend::Flat)?,
-        which,
-        frames.len(),
-    )
-}
-
-/// Runs a partition with every scheduler executing through the
-/// closure-threaded native backend over the bit-packed flat arena
-/// ([`SwOptions::compiled`] + [`SwOptions::flat`]). Cycle counts and
-/// PCM are identical to [`run_partition`]; only simulator wall-clock
-/// time differs.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_compiled(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-) -> Result<VorbisRun, PlatformError> {
-    run_built(
-        build_cosim(which, frames, ExecBackend::Compiled)?,
-        which,
-        frames.len(),
-    )
-}
-
 /// Builds the fault-free co-simulation for a partition on the given
 /// executor backend, with the input frames queued but nothing run yet.
-/// Together with [`run_built`] this splits a partition run into its
-/// one-time construction phase (elaborate + partition + lower rules)
-/// and its simulation phase, so benchmarks can time them separately.
 ///
 /// # Errors
 ///
@@ -294,24 +255,8 @@ pub fn build_cosim(
         frames,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        backend.event_driven(),
-        backend.flat(),
-        backend.compiled(),
+        backend,
     )
-}
-
-/// Runs a co-simulation built by [`build_cosim`] to stream completion —
-/// the simulation phase of a partition run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_built(
-    cosim: Cosim,
-    which: VorbisPartition,
-    want: usize,
-) -> Result<VorbisRun, PlatformError> {
-    finish_run(cosim, which, want, false)
 }
 
 /// Builds the co-simulation for a partition exactly as every run entry
@@ -319,6 +264,8 @@ pub fn run_built(
 /// arguments, so two processes calling it with the same arguments get
 /// interchangeable systems — the contract [`resume_partition`] and
 /// [`run_partition_migrated`] rely on (the design fingerprint pins it).
+/// `event_driven` selects [`ExecBackend::Compiled`]; `false` selects the
+/// [`ExecBackend::Naive`] reference.
 pub fn make_cosim(
     which: VorbisPartition,
     frames: &[Vec<i64>],
@@ -326,7 +273,12 @@ pub fn make_cosim(
     policy: RecoveryPolicy,
     event_driven: bool,
 ) -> Result<Cosim, PlatformError> {
-    make_cosim_full(which, frames, faults, policy, event_driven, false, false)
+    let backend = if event_driven {
+        ExecBackend::Compiled
+    } else {
+        ExecBackend::Naive
+    };
+    make_cosim_full(which, frames, faults, policy, backend)
 }
 
 fn make_cosim_full(
@@ -334,9 +286,7 @@ fn make_cosim_full(
     frames: &[Vec<i64>],
     faults: FaultConfig,
     policy: RecoveryPolicy,
-    event_driven: bool,
-    flat: bool,
-    compiled: bool,
+    backend: ExecBackend,
 ) -> Result<Cosim, PlatformError> {
     let domains = which.domains();
     let opts = BackendOptions {
@@ -347,10 +297,7 @@ fn make_cosim_full(
     let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
     let sw_opts = SwOptions {
         strategy: Strategy::Dataflow,
-        event_driven,
-        flat,
-        compiled,
-        ..Default::default()
+        ..backend.sw_options()
     };
     let mut hw_domains: Vec<&str> = Vec::new();
     for d in [&domains.imdct, &domains.ifft, &domains.window] {
@@ -368,8 +315,8 @@ fn make_cosim_full(
         .map(|(i, d)| {
             let cfg = HwPartitionCfg::new(d)
                 .with_link(ml507_link())
-                .with_event_driven(event_driven)
-                .with_compiled(compiled);
+                .with_event_driven(backend.event_driven())
+                .with_compiled(backend.compiled());
             if i == 0 {
                 cfg.with_faults(faults.clone())
             } else {
@@ -647,11 +594,11 @@ mod tests {
     }
 
     #[test]
-    fn compiled_backend_is_cycle_identical_on_partitions() {
+    fn compiled_matches_naive_reference_on_partitions() {
         let frames = frame_stream(2, 21);
         for p in [VorbisPartition::E, VorbisPartition::F] {
-            let base = run_partition(p, &frames).unwrap();
-            let compiled = run_partition_compiled(p, &frames).unwrap();
+            let base = run_partition_naive(p, &frames).unwrap();
+            let compiled = run_partition(p, &frames).unwrap();
             assert_eq!(compiled.pcm, base.pcm, "partition {}", p.label());
             assert_eq!(
                 compiled.fpga_cycles,

@@ -89,11 +89,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- software execution -------------------------------------------
-    // Both schedulers run event-driven by default: guards compile to
-    // stack-machine programs once, their verdicts are cached, and only
-    // rules whose read set intersects the prims written since the last
-    // probe are re-evaluated. `SwOptions { event_driven: false, .. }`
-    // (or `HwSim::event_driven = false`) selects the naive
+    // Both schedulers run event-driven by default: guard verdicts are
+    // cached, and only rules whose read set intersects the prims written
+    // since the last probe are re-evaluated. This tree store is
+    // interpreted; `Store::new_flat` plus `SwOptions { flat: true,
+    // compiled: true, .. }` lowers the rules to native closures instead.
+    // `SwOptions { event_driven: false, .. }` (or
+    // `HwSim::event_driven = false`) selects the naive
     // evaluate-every-guard reference mode — same results, slower.
     let mut store = Store::new(&design);
     load(&mut store);

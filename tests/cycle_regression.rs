@@ -17,14 +17,14 @@ use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{
-    run_partition as rt_run, run_partition_compiled as rt_run_compiled,
-    run_partition_flat as rt_run_flat, run_partition_migrated as rt_run_migrated, RtPartition,
+    run_partition as rt_run, run_partition_migrated as rt_run_migrated,
+    run_partition_naive as rt_run_naive, RtPartition,
 };
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{
-    run_partition as vorbis_run, run_partition_compiled as vorbis_run_compiled,
-    run_partition_flat as vorbis_run_flat, run_partition_migrated as vorbis_run_migrated,
-    run_partition_with_recovery as vorbis_run_recovery, VorbisPartition,
+    run_partition as vorbis_run, run_partition_migrated as vorbis_run_migrated,
+    run_partition_naive as vorbis_run_naive, run_partition_with_recovery as vorbis_run_recovery,
+    VorbisPartition,
 };
 
 /// (partition, fpga_cycles, sw_cpu_cycles) on `frame_stream(3, 21)`.
@@ -49,126 +49,24 @@ const RT_BASELINE: &[(RtPartition, u64, u64)] = &[
 
 #[test]
 fn vorbis_partition_cycle_counts_are_pinned() {
+    // Both executors must land on the exact pinned cycles for every
+    // shipped partition — bit- and cycle-identity, not "close enough" —
+    // and decode the same PCM.
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
+        let naive = vorbis_run_naive(p, &frames).unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
         let run = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                run.fpga_cycles,
-                run.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn vorbis_flat_store_cycle_counts_are_pinned() {
-    // The flat arena store must land on the exact same pinned cycles as
-    // the tree store for every shipped partition — bit- and
-    // cycle-identity, not "close enough". The PCM is also compared.
-    let frames = frame_stream(3, 21);
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let tree = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let flat = vorbis_run_flat(p, &frames).unwrap_or_else(|e| panic!("{p:?} (flat): {e}"));
-        assert_eq!(
-            flat.pcm,
-            tree.pcm,
-            "partition {} flat PCM diverged",
-            p.label()
-        );
-        if (flat.fpga_cycles, flat.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (flat): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                flat.fpga_cycles,
-                flat.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn vorbis_compiled_backend_cycle_counts_are_pinned() {
-    // The closure-threaded native backend must land on the exact same
-    // pinned cycles as the interpreter for every shipped partition —
-    // bit- and cycle-identity, not "close enough". The PCM is also
-    // compared.
-    let frames = frame_stream(3, 21);
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let tree = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let compiled =
-            vorbis_run_compiled(p, &frames).unwrap_or_else(|e| panic!("{p:?} (compiled): {e}"));
-        assert_eq!(
-            compiled.pcm,
-            tree.pcm,
-            "partition {} compiled PCM diverged",
-            p.label()
-        );
-        if (compiled.fpga_cycles, compiled.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (compiled): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                compiled.fpga_cycles,
-                compiled.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn raytrace_compiled_backend_cycle_counts_are_pinned() {
-    let bvh = build_bvh(&make_scene(48, 5));
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in RT_BASELINE {
-        let tree = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let compiled =
-            rt_run_compiled(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (compiled): {e}"));
-        assert_eq!(
-            compiled.image,
-            tree.image,
-            "partition {} compiled image diverged",
-            p.label()
-        );
-        if (compiled.fpga_cycles, compiled.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (compiled): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                compiled.fpga_cycles,
-                compiled.sw_cpu_cycles
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn raytrace_flat_store_cycle_counts_are_pinned() {
-    let bvh = build_bvh(&make_scene(48, 5));
-    let mut failures = Vec::new();
-    for &(p, fpga, cpu) in RT_BASELINE {
-        let tree = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let flat = rt_run_flat(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (flat): {e}"));
-        assert_eq!(
-            flat.image,
-            tree.image,
-            "partition {} flat image diverged",
-            p.label()
-        );
-        if (flat.fpga_cycles, flat.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {} (flat): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                flat.fpga_cycles,
-                flat.sw_cpu_cycles
-            ));
+        assert_eq!(run.pcm, naive.pcm, "partition {} PCM diverged", p.label());
+        for (leg, r) in [("naive", &naive), ("compiled", &run)] {
+            if (r.fpga_cycles, r.sw_cpu_cycles) != (fpga, cpu) {
+                failures.push(format!(
+                    "partition {} ({leg}): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                    p.label(),
+                    r.fpga_cycles,
+                    r.sw_cpu_cycles
+                ));
+            }
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -330,14 +228,23 @@ fn raytrace_partition_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
+        let naive = rt_run_naive(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
         let run = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
-            failures.push(format!(
-                "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
-                p.label(),
-                run.fpga_cycles,
-                run.sw_cpu_cycles
-            ));
+        assert_eq!(
+            run.image,
+            naive.image,
+            "partition {} image diverged",
+            p.label()
+        );
+        for (leg, r) in [("naive", &naive), ("compiled", &run)] {
+            if (r.fpga_cycles, r.sw_cpu_cycles) != (fpga, cpu) {
+                failures.push(format!(
+                    "partition {} ({leg}): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                    p.label(),
+                    r.fpga_cycles,
+                    r.sw_cpu_cycles
+                ));
+            }
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));

@@ -21,8 +21,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Every generated (design, fault plan) pair must agree across the
-    /// naive interpreter, the event-driven Vm, the fused design, and
-    /// the N-partition co-simulation — all equal to the gold model.
+    /// naive reference, the compiled backend, the fused design, and the
+    /// compiled N-partition co-simulation — all equal to the gold model.
     #[test]
     fn all_executors_agree(spec in arb_design(), plan in arb_faults()) {
         if let Err(e) = run_case(&spec, &plan) {

@@ -1,18 +1,20 @@
-//! Event-driven scheduling is an *optimization*, not a semantics change:
-//! with guard-verdict caching and dirty-set invalidation switched on, both
-//! schedulers must produce exactly the trace the naive
-//! evaluate-every-guard reference mode produces — the same rules firing
-//! in the same order, the same sink streams, the same hardware cycle
-//! counts, and (for software, thanks to cost-replay on cache hits) the
-//! same modeled CPU cycles. The only observable difference is the
-//! `guard_evals_skipped` counter, which records the avoided work.
+//! The compiled backend is an *optimization*, not a semantics change:
+//! with event-driven guard scheduling (verdict caching and dirty-set
+//! invalidation) and native rules on the flat arena store, both
+//! schedulers must produce exactly the trace the naive reference
+//! produces — the naive evaluate-every-guard scheduler interpreting the
+//! rules over the tree store: the same rules firing in the same order,
+//! the same sink streams, the same hardware cycle counts, and (for
+//! software, thanks to cost-replay on cache hits) the same modeled CPU
+//! cycles. The only observable difference is the `guard_evals_skipped`
+//! counter, which records the avoided work.
 //!
 //! CI pins `PROPTEST_SEED` so failures reproduce exactly.
 
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
 use bcl_core::program::Program;
-use bcl_core::sched::{HwSim, Strategy, SwOptions, SwRunner};
+use bcl_core::sched::{ExecBackend, HwSim, Strategy, SwOptions, SwRunner};
 use bcl_core::store::Store;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
@@ -65,8 +67,8 @@ fn test_design(stages: usize, depth: usize) -> Design {
     bcl_core::elaborate(&Program::with_root(m.build())).unwrap()
 }
 
-fn preload(design: &Design, inputs: &[i64]) -> Store {
-    let mut store = Store::new(design);
+fn preload(design: &Design, inputs: &[i64], flat: bool) -> Store {
+    let mut store = Store::new_like(design, flat);
     let src = design.prim_id("src").unwrap();
     for &i in inputs {
         store.push_source(src, Value::int(32, i));
@@ -83,33 +85,15 @@ fn sink_ints(design: &Design, store: &Store) -> Vec<i64> {
         .collect()
 }
 
-/// Runs the software scheduler to quiescence, recording the per-step
-/// fired/quiescent outcome. Returns (trace, per-rule fired counts,
-/// cpu_cycles, sink stream).
-fn run_sw(
+/// Runs the software scheduler to quiescence on `opts`, recording the
+/// per-step fired/quiescent outcome. Returns (trace, per-rule fired
+/// counts, cpu_cycles, sink stream, guard evaluations skipped).
+fn run_sw_opts(
     design: &Design,
     inputs: &[i64],
-    strategy: Strategy,
-    event_driven: bool,
+    opts: SwOptions,
 ) -> (Vec<bool>, Vec<u64>, u64, Vec<i64>, u64) {
-    run_sw_on(design, inputs, strategy, event_driven, false)
-}
-
-/// Like [`run_sw`], with the closure-threaded native backend toggled.
-fn run_sw_on(
-    design: &Design,
-    inputs: &[i64],
-    strategy: Strategy,
-    event_driven: bool,
-    compiled: bool,
-) -> (Vec<bool>, Vec<u64>, u64, Vec<i64>, u64) {
-    let opts = SwOptions {
-        strategy,
-        event_driven,
-        compiled,
-        ..Default::default()
-    };
-    let mut r = SwRunner::with_store(design, preload(design, inputs), opts);
+    let mut r = SwRunner::with_store(design, preload(design, inputs, opts.flat), opts);
     let mut trace = Vec::new();
     for _ in 0..100_000 {
         let fired = r.step().unwrap();
@@ -129,19 +113,23 @@ fn run_sw_on(
     )
 }
 
+/// [`run_sw_opts`] on one of the two backends.
+fn run_sw(
+    design: &Design,
+    inputs: &[i64],
+    strategy: Strategy,
+    backend: ExecBackend,
+) -> (Vec<bool>, Vec<u64>, u64, Vec<i64>, u64) {
+    let opts = SwOptions {
+        strategy,
+        ..backend.sw_options()
+    };
+    run_sw_opts(design, inputs, opts)
+}
+
 /// Runs the hardware simulator to quiescence, recording the per-cycle
 /// firing count. Returns (trace, per-rule fired counts, cycles, peak
 /// concurrency, sink stream, guard_evals, guard_evals_skipped).
-#[allow(clippy::type_complexity)]
-fn run_hw(
-    design: &Design,
-    inputs: &[i64],
-    event_driven: bool,
-) -> (Vec<usize>, Vec<u64>, u64, usize, Vec<i64>, u64, u64) {
-    run_hw_on(design, inputs, event_driven, false)
-}
-
-/// Like [`run_hw`], with the closure-threaded native backend toggled.
 #[allow(clippy::type_complexity)]
 fn run_hw_on(
     design: &Design,
@@ -149,7 +137,7 @@ fn run_hw_on(
     event_driven: bool,
     compiled: bool,
 ) -> (Vec<usize>, Vec<u64>, u64, usize, Vec<i64>, u64, u64) {
-    let mut sim = HwSim::with_store(design, preload(design, inputs)).unwrap();
+    let mut sim = HwSim::with_store(design, preload(design, inputs, compiled)).unwrap();
     sim.event_driven = event_driven;
     sim.compiled = compiled;
     let mut trace = Vec::new();
@@ -173,6 +161,16 @@ fn run_hw_on(
     )
 }
 
+/// [`run_hw_on`] on one of the two backends.
+#[allow(clippy::type_complexity)]
+fn run_hw(
+    design: &Design,
+    inputs: &[i64],
+    backend: ExecBackend,
+) -> (Vec<usize>, Vec<u64>, u64, usize, Vec<i64>, u64, u64) {
+    run_hw_on(design, inputs, backend.event_driven(), backend.compiled())
+}
+
 const STRATEGIES: [Strategy; 3] = [Strategy::RoundRobin, Strategy::Priority, Strategy::Dataflow];
 
 proptest! {
@@ -188,9 +186,9 @@ proptest! {
         let design = test_design(stages, depth);
         let strategy = STRATEGIES[strat];
         let (t_e, fired_e, cpu_e, out_e, _skipped) =
-            run_sw(&design, &inputs, strategy, true);
+            run_sw(&design, &inputs, strategy, ExecBackend::Compiled);
         let (t_n, fired_n, cpu_n, out_n, skipped_n) =
-            run_sw(&design, &inputs, strategy, false);
+            run_sw(&design, &inputs, strategy, ExecBackend::Naive);
         prop_assert_eq!(t_e, t_n, "fired traces diverge ({strategy:?})");
         prop_assert_eq!(fired_e, fired_n, "per-rule firing counts diverge");
         prop_assert_eq!(cpu_e, cpu_n, "modeled cpu_cycles diverge");
@@ -206,9 +204,9 @@ proptest! {
     ) {
         let design = test_design(stages, depth);
         let (t_e, fired_e, cyc_e, peak_e, out_e, evals_e, skipped_e) =
-            run_hw(&design, &inputs, true);
+            run_hw(&design, &inputs, ExecBackend::Compiled);
         let (t_n, fired_n, cyc_n, peak_n, out_n, evals_n, skipped_n) =
-            run_hw(&design, &inputs, false);
+            run_hw(&design, &inputs, ExecBackend::Naive);
         prop_assert_eq!(t_e, t_n, "per-cycle firing traces diverge");
         prop_assert_eq!(fired_e, fired_n, "per-rule firing counts diverge");
         prop_assert_eq!(cyc_e, cyc_n, "cycle counts diverge");
@@ -225,33 +223,37 @@ proptest! {
         stages in 2usize..5,
         depth in 1usize..4,
         strat in 0usize..3,
-        event_driven in any::<bool>(),
         inputs in proptest::collection::vec(-100i64..100, 1..12),
     ) {
-        // The native backend is an optimization, not a semantics change:
-        // trace, per-rule counts, modeled cpu_cycles, and sink streams
-        // must all be bit-identical to the interpreter in both guard
-        // scheduling modes.
+        // Native rules alone, scheduling held fixed: naive scheduling of
+        // native rules on the flat store must match the reference
+        // bit for bit — trace, per-rule counts, modeled cpu_cycles, and
+        // sink streams.
         let design = test_design(stages, depth);
         let strategy = STRATEGIES[strat];
-        let interp = run_sw_on(&design, &inputs, strategy, event_driven, false);
-        let native = run_sw_on(&design, &inputs, strategy, event_driven, true);
-        prop_assert_eq!(interp, native,
-            "compiled sw run diverges ({strategy:?}, event_driven={event_driven})");
+        let reference = run_sw(&design, &inputs, strategy, ExecBackend::Naive);
+        let native = run_sw_opts(&design, &inputs, SwOptions {
+            strategy,
+            event_driven: false,
+            flat: true,
+            compiled: true,
+            ..Default::default()
+        });
+        prop_assert_eq!(reference, native, "compiled sw run diverges ({strategy:?})");
     }
 
     #[test]
     fn hw_compiled_matches_interpreter(
         stages in 2usize..5,
         depth in 1usize..4,
-        event_driven in any::<bool>(),
         inputs in proptest::collection::vec(-100i64..100, 1..12),
     ) {
+        // Native rules alone, under naive scheduling: identical down to
+        // the guard-evaluation counters.
         let design = test_design(stages, depth);
-        let interp = run_hw_on(&design, &inputs, event_driven, false);
-        let native = run_hw_on(&design, &inputs, event_driven, true);
-        prop_assert_eq!(interp, native,
-            "compiled hw run diverges (event_driven={event_driven})");
+        let reference = run_hw(&design, &inputs, ExecBackend::Naive);
+        let native = run_hw_on(&design, &inputs, false, true);
+        prop_assert_eq!(reference, native, "compiled hw run diverges");
     }
 }
 
@@ -261,7 +263,8 @@ proptest! {
 #[test]
 fn hw_quiescent_cycles_cost_no_guard_evals() {
     let design = test_design(3, 2);
-    let mut sim = HwSim::new(&design).unwrap();
+    let mut sim = HwSim::with_store(&design, Store::new_flat(&design)).unwrap();
+    sim.compiled = true;
     assert_eq!(sim.step().unwrap(), 0);
     let after_first = sim.report().guard_evals;
     for _ in 0..50 {
@@ -284,8 +287,9 @@ fn sw_cache_hits_replay_cost_without_reevaluating() {
     // constantly — exactly what the verdict cache elides.
     let design = test_design(4, 2);
     let inputs: Vec<i64> = (0..20).collect();
-    let (_, _, cpu_e, out_e, skipped) = run_sw(&design, &inputs, Strategy::Priority, true);
-    let (_, _, cpu_n, out_n, _) = run_sw(&design, &inputs, Strategy::Priority, false);
+    let (_, _, cpu_e, out_e, skipped) =
+        run_sw(&design, &inputs, Strategy::Priority, ExecBackend::Compiled);
+    let (_, _, cpu_n, out_n, _) = run_sw(&design, &inputs, Strategy::Priority, ExecBackend::Naive);
     assert_eq!(cpu_e, cpu_n);
     assert_eq!(out_e, out_n);
     assert!(skipped > 0, "priority probing must hit the verdict cache");
