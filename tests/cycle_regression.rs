@@ -12,19 +12,21 @@
 //! If a change legitimately alters the timing model, re-baseline these
 //! constants in the same commit and say why.
 
-use bcl_platform::cosim::RecoveryPolicy;
+use bcl_core::sched::ExecBackend;
+use bcl_core::Value;
+use bcl_platform::cosim::{Cosim, RecoveryPolicy};
 use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{
-    run_partition as rt_run, run_partition_migrated as rt_run_migrated,
-    run_partition_naive as rt_run_naive, RtPartition,
+    build_cosim as rt_build_cosim, run_partition as rt_run,
+    run_partition_migrated as rt_run_migrated, run_partition_naive as rt_run_naive, RtPartition,
 };
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{
-    run_partition as vorbis_run, run_partition_migrated as vorbis_run_migrated,
-    run_partition_naive as vorbis_run_naive, run_partition_with_recovery as vorbis_run_recovery,
-    VorbisPartition,
+    build_cosim as vorbis_build_cosim, run_partition as vorbis_run,
+    run_partition_migrated as vorbis_run_migrated, run_partition_naive as vorbis_run_naive,
+    run_partition_with_recovery as vorbis_run_recovery, VorbisPartition,
 };
 
 /// (partition, fpga_cycles, sw_cpu_cycles) on `frame_stream(3, 21)`.
@@ -47,11 +49,55 @@ const RT_BASELINE: &[(RtPartition, u64, u64)] = &[
     (RtPartition::E, 40_004, 2_076), // three-domain (traversal | geometry)
 ];
 
+/// Runs a co-simulation built on `backend` until `sink` holds `want`
+/// values, after checking that its software store has the backend's
+/// representation (flat arena for the compiled backend, tree for the
+/// reference). Returns `(fpga_cycles, sw_cpu_cycles, sink values)`.
+fn run_built(
+    mut cosim: Cosim,
+    backend: ExecBackend,
+    sink: &str,
+    want: usize,
+) -> (u64, u64, Vec<Value>) {
+    let outcome = cosim
+        .run_until(|c| c.sink_count(sink) == want, 10_000_000)
+        .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+    assert!(outcome.is_done(), "{backend:?} did not finish: {outcome:?}");
+    assert_eq!(
+        cosim.sw.snapshot().store().is_flat(),
+        backend.flat(),
+        "{backend:?} ran on the wrong store representation"
+    );
+    (
+        outcome.fpga_cycles(),
+        cosim.sw.cpu_cycles(),
+        cosim.sink_values(sink).to_vec(),
+    )
+}
+
 #[test]
 fn vorbis_partition_cycle_counts_are_pinned() {
-    // Both executors must land on the exact pinned cycles for every
-    // shipped partition — bit- and cycle-identity, not "close enough" —
-    // and decode the same PCM.
+    let frames = frame_stream(3, 21);
+    let mut failures = Vec::new();
+    for &(p, fpga, cpu) in VORBIS_BASELINE {
+        let run = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
+            failures.push(format!(
+                "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                p.label(),
+                run.fpga_cycles,
+                run.sw_cpu_cycles
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn vorbis_compiled_backend_cycle_counts_are_pinned() {
+    // The compiled backend and the naive reference must both land on the
+    // exact pinned cycles for every shipped partition — bit- and
+    // cycle-identity, not "close enough" — and decode the same PCM.
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
@@ -65,6 +111,32 @@ fn vorbis_partition_cycle_counts_are_pinned() {
                     p.label(),
                     r.fpga_cycles,
                     r.sw_cpu_cycles
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn vorbis_flat_store_cycle_counts_are_pinned() {
+    // The flat arena store (compiled backend) must land on the same
+    // pinned cycles and sink values as the tree store (reference).
+    let frames = frame_stream(3, 21);
+    let mut failures = Vec::new();
+    for &(p, fpga, cpu) in VORBIS_BASELINE {
+        let [tree, flat] = [ExecBackend::Naive, ExecBackend::Compiled].map(|b| {
+            let cosim = vorbis_build_cosim(p, &frames, b).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+            run_built(cosim, b, "audioDev", frames.len())
+        });
+        assert_eq!(flat.2, tree.2, "partition {} flat PCM diverged", p.label());
+        for (leg, r) in [("tree", &tree), ("flat", &flat)] {
+            if (r.0, r.1) != (fpga, cpu) {
+                failures.push(format!(
+                    "partition {} ({leg}): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                    p.label(),
+                    r.0,
+                    r.1
                 ));
             }
         }
@@ -228,6 +300,24 @@ fn raytrace_partition_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
+        let run = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+        if (run.fpga_cycles, run.sw_cpu_cycles) != (fpga, cpu) {
+            failures.push(format!(
+                "partition {}: expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                p.label(),
+                run.fpga_cycles,
+                run.sw_cpu_cycles
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn raytrace_compiled_backend_cycle_counts_are_pinned() {
+    let bvh = build_bvh(&make_scene(48, 5));
+    let mut failures = Vec::new();
+    for &(p, fpga, cpu) in RT_BASELINE {
         let naive = rt_run_naive(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
         let run = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         assert_eq!(
@@ -243,6 +333,35 @@ fn raytrace_partition_cycle_counts_are_pinned() {
                     p.label(),
                     r.fpga_cycles,
                     r.sw_cpu_cycles
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn raytrace_flat_store_cycle_counts_are_pinned() {
+    let bvh = build_bvh(&make_scene(48, 5));
+    let mut failures = Vec::new();
+    for &(p, fpga, cpu) in RT_BASELINE {
+        let [tree, flat] = [ExecBackend::Naive, ExecBackend::Compiled].map(|b| {
+            let cosim = rt_build_cosim(p, &bvh, 4, 4, b).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+            run_built(cosim, b, "bitmap", 16)
+        });
+        assert_eq!(
+            flat.2,
+            tree.2,
+            "partition {} flat image diverged",
+            p.label()
+        );
+        for (leg, r) in [("tree", &tree), ("flat", &flat)] {
+            if (r.0, r.1) != (fpga, cpu) {
+                failures.push(format!(
+                    "partition {} ({leg}): expected fpga={fpga} cpu={cpu}, got fpga={} cpu={}",
+                    p.label(),
+                    r.0,
+                    r.1
                 ));
             }
         }
