@@ -47,7 +47,7 @@ use crate::design::Design;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::RuleOutcome;
 use crate::prim::PrimSpec;
-use crate::store::{Cost, ShadowPolicy, Store, Txn};
+use crate::store::{Cost, ShadowPolicy, Store, Txn, TxnLog};
 use crate::types::{Layout, LayoutKind};
 use crate::value::{
     copy_bits, copy_bits_within, get_bits, mask, put_bits, sign_extend, BinOp, UnOp, Value,
@@ -1641,14 +1641,16 @@ pub fn eval_guard_native(
 
 /// Native counterpart of [`crate::exec::run_rule`]: executes a lowered
 /// body as a transaction over a flat-arena store, committing on success
-/// and rolling back on guard failure.
+/// and rolling back on guard failure. The shadows live in `log`, which
+/// the caller reuses across firings.
 pub fn run_rule_native(
     frame: &mut NativeFrame,
+    log: &mut TxnLog,
     store: &mut Store,
     body: &CompiledAction,
     policy: ShadowPolicy,
 ) -> ExecResult<(RuleOutcome, Cost)> {
-    let mut txn = Txn::new(store, policy);
+    let mut txn = Txn::new(store, log, policy);
     txn.cost.txn_setups += 1;
     frame.ensure(body.slots);
     frame.ensure_words(body.words);
@@ -1666,7 +1668,7 @@ pub fn run_rule_native(
 
 /// Native counterpart of [`crate::exec::run_rule_inplace`]: executes a
 /// fully guard-lifted body straight against the committed flat-arena
-/// store — no transaction, no frame stack, no shadow map. Cost-identical
+/// store — no transaction and no shadow log. Cost-identical
 /// to the in-place interpreter.
 pub fn run_rule_inplace_native(
     frame: &mut NativeFrame,
@@ -1778,8 +1780,14 @@ mod tests {
         }
         let cb = native.body.as_ref().expect("body compiles natively");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
-        let (out_nat, cost_nat) =
-            run_rule_native(&mut frame, &mut s_nat, cb, ShadowPolicy::Partial).unwrap();
+        let (out_nat, cost_nat) = run_rule_native(
+            &mut frame,
+            &mut TxnLog::new(),
+            &mut s_nat,
+            cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap();
         assert_eq!(out_ast, out_nat, "outcome for {}", rule.name);
         assert_eq!(cost_ast, cost_nat, "body cost for {}", rule.name);
         assert_same_state(&s_ast, &s_nat, design, &rule.name);
@@ -1995,7 +2003,14 @@ mod tests {
         let cb = compile_action(&body, &prim_infos(&d)).expect("Par compiles");
         let mut s = Store::new_flat(&d);
         let mut frame = NativeFrame::new();
-        let err = run_rule_native(&mut frame, &mut s, &cb, ShadowPolicy::Partial).unwrap_err();
+        let err = run_rule_native(
+            &mut frame,
+            &mut TxnLog::new(),
+            &mut s,
+            &cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap_err();
         let mut s2 = Store::new(&d);
         let err2 = run_rule(&mut s2, &body, ShadowPolicy::Partial).unwrap_err();
         assert_eq!(format!("{err}"), format!("{err2}"));
@@ -2209,8 +2224,14 @@ mod tests {
         let cb = compile_action(&body, &prim_infos(&d)).expect("compiles");
         let mut frame = NativeFrame::new();
         let mut s_flat = Store::new_flat(&d);
-        let err_flat =
-            run_rule_native(&mut frame, &mut s_flat, &cb, ShadowPolicy::Partial).unwrap_err();
+        let err_flat = run_rule_native(
+            &mut frame,
+            &mut TxnLog::new(),
+            &mut s_flat,
+            &cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap_err();
         let mut s_tree = Store::new(&d);
         let err_tree = run_rule(&mut s_tree, &body, ShadowPolicy::Partial).unwrap_err();
         assert_eq!(format!("{err_flat}"), format!("{err_tree}"));
@@ -2220,8 +2241,14 @@ mod tests {
             vec![Expr::int(32, -1), Expr::int(63, 1)],
         );
         let cb = compile_action(&neg, &prim_infos(&d)).expect("compiles");
-        let err_flat =
-            run_rule_native(&mut frame, &mut s_flat, &cb, ShadowPolicy::Partial).unwrap_err();
+        let err_flat = run_rule_native(
+            &mut frame,
+            &mut TxnLog::new(),
+            &mut s_flat,
+            &cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap_err();
         let err_tree = run_rule(&mut s_tree, &neg, ShadowPolicy::Partial).unwrap_err();
         assert_eq!(format!("{err_flat}"), format!("{err_tree}"));
     }

@@ -13,7 +13,7 @@
 
 use crate::ast::{Action, Expr, Target};
 use crate::error::{ExecError, ExecResult};
-use crate::store::{Cost, ShadowPolicy, Store, Txn};
+use crate::store::{Cost, ShadowPolicy, Store, Txn, TxnLog};
 use crate::value::Value;
 
 /// A lexical environment for let-bound variables and method formals.
@@ -282,7 +282,18 @@ pub fn run_rule(
     body: &Action,
     policy: ShadowPolicy,
 ) -> ExecResult<(RuleOutcome, Cost)> {
-    let mut txn = Txn::new(store, policy);
+    run_rule_in(&mut TxnLog::new(), store, body, policy)
+}
+
+/// [`run_rule`] with the shadows kept in a caller-owned [`TxnLog`], so a
+/// scheduler that reuses one log across firings does not reallocate it.
+pub fn run_rule_in(
+    log: &mut TxnLog,
+    store: &mut Store,
+    body: &Action,
+    policy: ShadowPolicy,
+) -> ExecResult<(RuleOutcome, Cost)> {
+    let mut txn = Txn::new(store, log, policy);
     txn.cost.txn_setups += 1;
     let mut env = Env::new();
     match exec(&mut txn, &mut env, body) {
@@ -303,7 +314,9 @@ pub fn run_rule(
 /// reported as a `Malformed` error; the committed state may be partially
 /// updated in that case.
 pub fn run_rule_inplace(store: &mut Store, body: &Action) -> ExecResult<Cost> {
-    let mut txn = Txn::new(store, ShadowPolicy::InPlace);
+    // In-place execution never shadows, so the empty log never allocates.
+    let mut log = TxnLog::new();
+    let mut txn = Txn::new(store, &mut log, ShadowPolicy::InPlace);
     txn.cost.inplace_runs += 1;
     let mut env = Env::new();
     match exec(&mut txn, &mut env, body) {
@@ -322,7 +335,8 @@ pub fn run_rule_inplace(store: &mut Store, body: &Action) -> ExecResult<Cost> {
 pub fn eval_ro(store: &mut Store, env: &mut Env, e: &Expr, cost: &mut Cost) -> ExecResult<Value> {
     // A read-only transaction: writes are a malformed-program error, which
     // we get for free because guard expressions contain no action calls.
-    let mut txn = Txn::new(store, ShadowPolicy::Partial);
+    let mut log = TxnLog::new();
+    let mut txn = Txn::new(store, &mut log, ShadowPolicy::Partial);
     let r = eval(&mut txn, env, e);
     cost.add(&txn.cost);
     // No commit: value context only. (Txn dropped; nothing was written.)
@@ -524,7 +538,8 @@ mod tests {
         let d = d3();
         let mut s = Store::new(&d);
         let body = Action::Loop(Box::new(Expr::t()), Box::new(Action::NoAction));
-        let mut txn = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut txn = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         txn.max_loop_iters = 10;
         let mut env = Env::new();
         let r = exec(&mut txn, &mut env, &body);

@@ -439,22 +439,63 @@ pub(crate) fn fifo_call_action(
     }
 }
 
+/// Ends a chain of register-file cell records in a transaction log's
+/// word arena. Each record is `[cell, next, lane..]`: the cell index,
+/// the arena offset of the previous record of the same shadow (or
+/// `NIL`), then the cell's copied lane.
+pub(crate) const NIL: usize = usize::MAX;
+
+/// The arena offset of cell `cell`'s logged lane in the record chain
+/// starting at `head`, if the cell was touched.
+fn logged_cell(words: &[u64], mut head: usize, cell: usize) -> Option<usize> {
+    while head != NIL {
+        if words[head] == cell as u64 {
+            return Some(head + 2);
+        }
+        head = words[head + 1] as usize;
+    }
+    None
+}
+
+/// The arena offset of cell `cell`'s logged lane, first copying the cell
+/// out of the committed `base` block into a new record at the end of
+/// `words` if the chain does not hold it yet.
+pub(crate) fn log_cell(
+    p: &FlatPrim,
+    words: &mut Vec<u64>,
+    head: &mut usize,
+    base: &[u64],
+    cell: usize,
+) -> usize {
+    if let Some(at) = logged_cell(words, *head, cell) {
+        return at;
+    }
+    let at = words.len();
+    words.push(cell as u64);
+    words.push(*head as u64);
+    words.extend_from_slice(&base[cell * p.lane..(cell + 1) * p.lane]);
+    *head = at;
+    at + 2
+}
+
 /// Read view of a register file's cells: the whole committed block, or a
-/// transaction's sparse cell shadows falling through to the base arena.
+/// transaction's cell-record chain falling through to the base arena.
 pub(crate) enum Cells<'a> {
     Whole(&'a [u64]),
-    Sparse {
-        map: &'a std::collections::HashMap<usize, Vec<u64>>,
+    Log {
+        words: &'a [u64],
+        head: usize,
         base: &'a [u64],
     },
 }
 
-impl Cells<'_> {
-    fn lane(&self, p: &FlatPrim, i: usize) -> &[u64] {
-        match self {
+impl<'a> Cells<'a> {
+    /// Cell `i`'s lane (the caller has bounds-checked `i`).
+    pub(crate) fn lane(&self, p: &FlatPrim, i: usize) -> &'a [u64] {
+        match *self {
             Cells::Whole(block) => &block[i * p.lane..(i + 1) * p.lane],
-            Cells::Sparse { map, base } => match map.get(&i) {
-                Some(lane) => lane,
+            Cells::Log { words, head, base } => match logged_cell(words, head, i) {
+                Some(at) => &words[at..at + p.lane],
                 None => &base[i * p.lane..(i + 1) * p.lane],
             },
         }
@@ -527,10 +568,11 @@ pub(crate) fn regfile_call_action_whole(
 }
 
 /// Shadowed register-file action: the word-diff log. Only the touched
-/// cell is copied out of the base arena into the sparse map.
-pub(crate) fn regfile_call_action_sparse(
+/// cell is copied out of the base arena into the record chain.
+pub(crate) fn regfile_call_action_log(
     p: &FlatPrim,
-    map: &mut std::collections::HashMap<usize, Vec<u64>>,
+    words: &mut Vec<u64>,
+    head: &mut usize,
     base: &[u64],
     m: PrimMethod,
     args: &[Value],
@@ -541,10 +583,8 @@ pub(crate) fn regfile_call_action_sparse(
     match m {
         PrimMethod::Upd => {
             let (idx, val) = upd_args(size, args)?;
-            let lane = map
-                .entry(idx)
-                .or_insert_with(|| base[idx * p.lane..(idx + 1) * p.lane].to_vec());
-            write_value(p, lane, val)
+            let at = log_cell(p, words, head, base, idx);
+            write_value(p, &mut words[at..at + p.lane], val)
         }
         _ => Err(action_unsupported(m, p.kind_name)),
     }

@@ -161,6 +161,9 @@ pub struct HwSim {
     scratch_ready: Vec<bool>,
     verdicts: Vec<Option<bool>>,
     dirty_scratch: Vec<PrimId>,
+    /// WILL_FIRE set of the current cycle, kept across steps (and across
+    /// a step that fails) so a cycle allocates nothing.
+    selected_scratch: Vec<usize>,
     guard_evals: u64,
     guard_evals_skipped: u64,
     pub(super) exec: RuleExec,
@@ -211,6 +214,7 @@ impl HwSim {
             scratch_ready: vec![false; n],
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
+            selected_scratch: Vec::new(),
             guard_evals: 0,
             guard_evals_skipped: 0,
             exec,
@@ -279,17 +283,27 @@ impl HwSim {
         }
         // WILL_FIRE: greedy maximal conflict-free subset in urgency
         // (definition) order.
-        let mut selected: Vec<usize> = Vec::new();
+        let mut selected = std::mem::take(&mut self.selected_scratch);
+        selected.clear();
         for i in 0..n {
             if self.scratch_ready[i] && selected.iter().all(|&j| !self.conflicts.conflicts(i, j)) {
                 selected.push(i);
             }
         }
-        // Fire. The selected set is pairwise conflict-free, so sequential
-        // application equals concurrent application; each rule's shadow is
-        // wires (zero software cost — we discard the counters).
+        let fired = self.fire(&selected);
+        self.selected_scratch = selected;
+        let fired_now = fired?;
+        self.cycles += 1;
+        self.peak = self.peak.max(fired_now);
+        Ok(fired_now)
+    }
+
+    /// Fires the WILL_FIRE set. It is pairwise conflict-free, so
+    /// sequential application equals concurrent application; each rule's
+    /// shadow is wires (zero software cost — we discard the counters).
+    fn fire(&mut self, selected: &[usize]) -> ExecResult<usize> {
         let mut fired_now = 0;
-        for &i in &selected {
+        for &i in selected {
             let (out, _c) = self.exec.body(
                 self.compiled,
                 &mut self.store,
@@ -306,8 +320,6 @@ impl HwSim {
             // fully analyze) simply means the rule does not fire this
             // cycle — same as CAN_FIRE low.
         }
-        self.cycles += 1;
-        self.peak = self.peak.max(fired_now);
         Ok(fired_now)
     }
 

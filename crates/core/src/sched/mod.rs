@@ -22,8 +22,8 @@ use crate::compile::{
 };
 use crate::design::Design;
 use crate::error::ExecResult;
-use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace, RuleOutcome};
-use crate::store::{Cost, ShadowPolicy, Store};
+use crate::exec::{eval_guard_ro, run_rule_in, run_rule_inplace, RuleOutcome};
+use crate::store::{Cost, ShadowPolicy, Store, TxnLog};
 use crate::xform::RulePlan;
 
 /// A scheduler's rule executor. Over a flat-arena store every rule is
@@ -32,10 +32,13 @@ use crate::xform::RulePlan;
 /// `native` is set and one exists, and the AST interpreter otherwise —
 /// every rule on a tree store, and the constructs lowering declines
 /// (`localGuard`, unelaborated names, unbound variables) on a flat one.
+/// Both paths keep their shadows in one [`TxnLog`] reused by every
+/// firing.
 #[derive(Debug, Default)]
 struct RuleExec {
     natives: Vec<NativeRule>,
     frame: NativeFrame,
+    log: TxnLog,
 }
 
 impl RuleExec {
@@ -48,6 +51,7 @@ impl RuleExec {
                 Vec::new()
             },
             frame: NativeFrame::new(),
+            log: TxnLog::new(),
         }
     }
 
@@ -80,8 +84,8 @@ impl RuleExec {
         policy: ShadowPolicy,
     ) -> ExecResult<(RuleOutcome, Cost)> {
         match Self::lowered(&self.natives, native, i).and_then(|n| n.body.as_ref()) {
-            Some(cb) => run_rule_native(&mut self.frame, store, cb, policy),
-            None => run_rule(store, &plan.body, policy),
+            Some(cb) => run_rule_native(&mut self.frame, &mut self.log, store, cb, policy),
+            None => run_rule_in(&mut self.log, store, &plan.body, policy),
         }
     }
 

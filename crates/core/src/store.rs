@@ -3,11 +3,17 @@
 //! A [`Store`] holds the committed state of every primitive. A [`Txn`] is a
 //! change-log shadow layered over the store: rule execution populates the
 //! log, a successful rule commits it, and a guard failure rolls it back by
-//! discarding it. Parallel action composition forks sibling frames that are
+//! discarding it. Parallel action composition opens sibling frames that are
 //! merged with double-write detection, and `localGuard` uses a frame whose
-//! failure is absorbed instead of propagated — exactly the C++ scheme the
-//! paper describes (shadows for rules are persistent/reused; shadows for
-//! parallel actions are created dynamically).
+//! failure is absorbed instead of propagated — the C++ scheme the paper
+//! describes ("shadows for rules are persistent/reused; shadows for
+//! parallel actions are created dynamically").
+//!
+//! The log itself is persistent: every transaction borrows a [`TxnLog`]
+//! that its scheduler keeps for its whole life. Frames are marks into
+//! the log's entry vector, and flat-store shadows are spans of its one
+//! word arena, so once the log has grown to a design's largest firing a
+//! transaction — parallel branches included — allocates nothing.
 
 use crate::ast::{PrimId, PrimMethod};
 use crate::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
@@ -17,7 +23,7 @@ use crate::flat::{self, FlatKind, FlatPrim, FlatStore};
 use crate::prim::PrimState;
 use crate::types::Type;
 use crate::value::{copy_bits, get_bits, put_bits, wire_to_flat, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 pub use crate::flat::PAGE_WORDS;
@@ -954,50 +960,44 @@ impl Store {
         self.call_action_at(id, PrimMethod::Enq, &[v])
     }
 
-    /// Applies a committed shadow entry to the store. Tree shadows (and
-    /// dyn shadows on the flat backend) replace the whole state; flat
-    /// word logs copy back exactly the words they cover — for a sparse
-    /// register-file log that is Θ(touched cells), which is what keeps
-    /// incremental checkpoints proportional to the words written.
-    fn apply_shadow(&mut self, id: PrimId, e: ShadowEntry) {
-        match e {
-            ShadowEntry::Tree(st) => self.set_state(id, st),
-            ShadowEntry::Reg(lane) => {
-                self.sched_dirty.mark(id.0);
-                let Backend::Flat(f) = &mut self.backend else {
-                    unreachable!("flat shadow entry over a tree store");
-                };
-                let meta = Arc::clone(&f.meta);
-                let p = &meta.prims[id.0];
+    /// Applies a committed shadow to the store. Tree shadows (and dyn
+    /// shadows on the flat backend) replace the whole state; flat shadows
+    /// copy back out of the log's word arena exactly the words they
+    /// cover — for a register-file cell log that is Θ(touched cells),
+    /// which is what keeps incremental checkpoints proportional to the
+    /// words written.
+    fn apply_shadow(&mut self, id: PrimId, s: Shadow, words: &[u64]) {
+        if let Shadow::Tree(st) = s {
+            self.set_state(id, st);
+            return;
+        }
+        self.sched_dirty.mark(id.0);
+        let Backend::Flat(f) = &mut self.backend else {
+            unreachable!("flat shadow entry over a tree store");
+        };
+        let meta = Arc::clone(&f.meta);
+        let p = &meta.prims[id.0];
+        match s {
+            Shadow::Tree(_) => unreachable!("handled above"),
+            Shadow::Reg { at, len } => {
                 mark_span(&mut self.ckpt_dirty, p.start, p.words);
-                f.arena[p.start..p.start + p.words].copy_from_slice(&lane);
+                f.arena[p.start..p.start + p.words].copy_from_slice(&words[at..at + len]);
             }
-            ShadowEntry::Fifo { words, spill } => {
-                self.sched_dirty.mark(id.0);
-                let Backend::Flat(f) = &mut self.backend else {
-                    unreachable!("flat shadow entry over a tree store");
-                };
-                let meta = Arc::clone(&f.meta);
-                let p = &meta.prims[id.0];
+            Shadow::Fifo { at, len, spill } => {
                 let FlatKind::Fifo { spill: si, .. } = p.kind else {
                     unreachable!("fifo shadow on a non-fifo");
                 };
                 mark_span(&mut self.ckpt_dirty, p.start, p.words);
                 self.ckpt_dirty.mark(meta.n_pages + meta.n_dyns + si);
-                f.arena[p.start..p.start + p.words].copy_from_slice(&words);
+                f.arena[p.start..p.start + p.words].copy_from_slice(&words[at..at + len]);
                 f.spills[si] = spill;
             }
-            ShadowEntry::Cells(map) => {
-                self.sched_dirty.mark(id.0);
-                let Backend::Flat(f) = &mut self.backend else {
-                    unreachable!("flat shadow entry over a tree store");
-                };
-                let meta = Arc::clone(&f.meta);
-                let p = &meta.prims[id.0];
-                for (cell, lane) in map {
-                    let at = p.start + cell * p.lane;
-                    mark_span(&mut self.ckpt_dirty, at, p.lane);
-                    f.arena[at..at + p.lane].copy_from_slice(&lane);
+            Shadow::Cells { mut head, lane } => {
+                while head != flat::NIL {
+                    let at = p.start + words[head] as usize * lane;
+                    mark_span(&mut self.ckpt_dirty, at, lane);
+                    f.arena[at..at + lane].copy_from_slice(&words[head + 2..head + 2 + lane]);
+                    head = words[head + 1] as usize;
                 }
             }
         }
@@ -1427,42 +1427,57 @@ impl Cost {
     }
 }
 
-/// One primitive's shadow in a transaction frame. On the tree backend a
-/// shadow is a whole cloned [`PrimState`]; on the flat backend it is a
-/// small word log — a copied register lane, a copied FIFO ring block, or
-/// a sparse per-cell map for register files (only the touched cells are
-/// ever copied). Boxed flat primitives (sources/sinks) shadow as tree
-/// states on either backend.
-#[derive(Debug, Clone)]
-enum ShadowEntry {
+/// One primitive's shadow in a [`TxnLog`]. On the flat backend a shadow
+/// is a span of the log's word arena — a copied register lane, a copied
+/// FIFO ring block, or a chain of register-file cell records (only the
+/// touched cells are ever copied). On the tree backend, and for boxed
+/// flat primitives (sources/sinks), it is an owned cloned [`PrimState`].
+#[derive(Debug)]
+enum Shadow {
     /// Whole cloned state.
     Tree(PrimState),
-    /// Copied register lane (bit-packed 64-bit words).
-    Reg(Vec<u64>),
-    /// Copied FIFO ring block (`[head, len, slots..]`) plus spill.
+    /// Copied register lane at `words[at..at + len]`.
+    Reg { at: usize, len: usize },
+    /// Copied FIFO ring block (`[head, len, slots..]`) at
+    /// `words[at..at + len]`, plus the spill.
     Fifo {
-        words: Vec<u64>,
+        at: usize,
+        len: usize,
         spill: VecDeque<Value>,
     },
-    /// Sparse register-file word log: touched cell index → copied lane.
-    /// Reads of untouched cells fall through to the base arena.
-    Cells(HashMap<usize, Vec<u64>>),
+    /// Sparse register-file log: a chain of `[cell, next, lane..]`
+    /// records through the word arena, newest first (see
+    /// [`flat::log_cell`]). Reads of untouched cells fall through to the
+    /// base arena.
+    Cells { head: usize, lane: usize },
 }
 
-/// Builds the first-touch shadow of a primitive from the base store.
-fn make_shadow(base: &Store, id: PrimId) -> ShadowEntry {
+/// Builds the first-touch shadow of a primitive from the base store,
+/// copying flat state into the log's word arena.
+fn make_shadow(base: &Store, words: &mut Vec<u64>, id: PrimId) -> Shadow {
     match &base.backend {
-        Backend::Tree { states, .. } => ShadowEntry::Tree(states[id.0].clone()),
+        Backend::Tree { states, .. } => Shadow::Tree(states[id.0].clone()),
         Backend::Flat(f) => {
             let p = &f.meta.prims[id.0];
+            let at = words.len();
             match p.kind {
-                FlatKind::Reg => ShadowEntry::Reg(f.block(p).to_vec()),
-                FlatKind::Fifo { spill, .. } => ShadowEntry::Fifo {
-                    words: f.block(p).to_vec(),
-                    spill: f.spills[spill].clone(),
+                FlatKind::Reg => {
+                    words.extend_from_slice(f.block(p));
+                    Shadow::Reg { at, len: p.words }
+                }
+                FlatKind::Fifo { spill, .. } => {
+                    words.extend_from_slice(f.block(p));
+                    Shadow::Fifo {
+                        at,
+                        len: p.words,
+                        spill: f.spills[spill].clone(),
+                    }
+                }
+                FlatKind::RegFile { .. } => Shadow::Cells {
+                    head: flat::NIL,
+                    lane: p.lane,
                 },
-                FlatKind::RegFile { .. } => ShadowEntry::Cells(HashMap::new()),
-                FlatKind::Dyn { idx } => ShadowEntry::Tree(f.dyns[idx].clone()),
+                FlatKind::Dyn { idx } => Shadow::Tree(f.dyns[idx].clone()),
             }
         }
     }
@@ -1474,19 +1489,19 @@ fn make_shadow(base: &Store, id: PrimId) -> ShadowEntry {
 /// cell log still prices the whole register file: the cost model meters
 /// what the generated C++ would copy for that primitive, not the log's
 /// physical size.)
-fn shadow_size_words(base: &Store, id: PrimId, e: &ShadowEntry) -> u64 {
+fn shadow_size_words(base: &Store, words: &[u64], id: PrimId, s: &Shadow) -> u64 {
     fn flat_prim(base: &Store, id: PrimId) -> &FlatPrim {
         &base.flat().meta.prims[id.0]
     }
-    match e {
-        ShadowEntry::Tree(st) => st.size_words(),
-        ShadowEntry::Reg(_) => flat_prim(base, id).ty.words() as u64,
-        ShadowEntry::Fifo { words, spill } => {
+    match s {
+        Shadow::Tree(st) => st.size_words(),
+        Shadow::Reg { .. } => flat_prim(base, id).ty.words() as u64,
+        Shadow::Fifo { at, spill, .. } => {
             let p = flat_prim(base, id);
-            let len = words[1] as usize + spill.len();
+            let len = words[at + 1] as usize + spill.len();
             (len as u64 * p.ty.words() as u64).max(1)
         }
-        ShadowEntry::Cells(_) => {
+        Shadow::Cells { .. } => {
             let p = flat_prim(base, id);
             let FlatKind::RegFile { size } = p.kind else {
                 unreachable!("cell log on a non-regfile");
@@ -1496,28 +1511,35 @@ fn shadow_size_words(base: &Store, id: PrimId, e: &ShadowEntry) -> u64 {
     }
 }
 
-/// Invokes a value method against a shadow entry (reads fall through to
-/// the base arena for cells the log has not touched).
+/// Invokes a value method against a shadow (reads fall through to the
+/// base arena for cells the log has not touched).
 fn shadow_call_value(
     base: &Store,
+    words: &[u64],
     id: PrimId,
-    e: &ShadowEntry,
+    s: &Shadow,
     m: PrimMethod,
     args: &[Value],
 ) -> ExecResult<Value> {
-    match e {
-        ShadowEntry::Tree(st) => st.call_value(m, args),
-        ShadowEntry::Reg(lane) => flat::reg_call_value(&base.flat().meta.prims[id.0], lane, m),
-        ShadowEntry::Fifo { words, spill } => {
-            flat::fifo_call_value(&base.flat().meta.prims[id.0], words, spill, m)
+    match s {
+        Shadow::Tree(st) => st.call_value(m, args),
+        Shadow::Reg { at, len } => {
+            flat::reg_call_value(&base.flat().meta.prims[id.0], &words[*at..at + len], m)
         }
-        ShadowEntry::Cells(map) => {
+        Shadow::Fifo { at, len, spill } => flat::fifo_call_value(
+            &base.flat().meta.prims[id.0],
+            &words[*at..at + len],
+            spill,
+            m,
+        ),
+        Shadow::Cells { head, .. } => {
             let f = base.flat();
             let p = &f.meta.prims[id.0];
             flat::regfile_call_value(
                 p,
-                flat::Cells::Sparse {
-                    map,
+                flat::Cells::Log {
+                    words,
+                    head: *head,
                     base: f.block(p),
                 },
                 m,
@@ -1527,86 +1549,107 @@ fn shadow_call_value(
     }
 }
 
-/// Invokes an action method against a shadow entry. Register-file writes
-/// copy only the touched cell out of the base arena into the log.
+/// Invokes an action method against a shadow. Register-file writes copy
+/// only the touched cell out of the base arena into the log.
 fn shadow_call_action(
     base: &Store,
+    words: &mut Vec<u64>,
     id: PrimId,
-    e: &mut ShadowEntry,
+    s: &mut Shadow,
     m: PrimMethod,
     args: &[Value],
 ) -> ExecResult<()> {
-    match e {
-        ShadowEntry::Tree(st) => st.call_action(m, args),
-        ShadowEntry::Reg(lane) => {
-            flat::reg_call_action(&base.flat().meta.prims[id.0], lane, m, args)
-        }
-        ShadowEntry::Fifo { words, spill } => {
-            flat::fifo_call_action(&base.flat().meta.prims[id.0], words, spill, m, args)
-        }
-        ShadowEntry::Cells(map) => {
+    match s {
+        Shadow::Tree(st) => st.call_action(m, args),
+        Shadow::Reg { at, len } => flat::reg_call_action(
+            &base.flat().meta.prims[id.0],
+            &mut words[*at..*at + *len],
+            m,
+            args,
+        ),
+        Shadow::Fifo { at, len, spill } => flat::fifo_call_action(
+            &base.flat().meta.prims[id.0],
+            &mut words[*at..*at + *len],
+            spill,
+            m,
+            args,
+        ),
+        Shadow::Cells { head, .. } => {
             let f = base.flat();
             let p = &f.meta.prims[id.0];
-            flat::regfile_call_action_sparse(p, map, f.block(p), m, args)
+            flat::regfile_call_action_log(p, words, head, f.block(p), m, args)
         }
     }
 }
 
-/// Word-level value read against a shadow entry: the unboxed counterpart
-/// of [`shadow_call_value`]. Only reachable for flat-kind shadows — the
-/// lowering declines word paths for `Dyn` primitives, so a `Tree` entry
+/// The lane of register-file cell `cell` as seen through a cell log:
+/// the logged record if the cell was touched, else the base arena.
+fn cell_view<'a>(
+    base: &'a Store,
+    words: &'a [u64],
+    p: &FlatPrim,
+    head: usize,
+    cell: usize,
+) -> ExecResult<&'a [u64]> {
+    let FlatKind::RegFile { size } = p.kind else {
+        unreachable!("cell log on a non-regfile");
+    };
+    if cell >= size {
+        return Err(ExecError::Bounds(format!("sub {cell} out of {size}")));
+    }
+    let base = base.flat().block(p);
+    Ok(flat::Cells::Log { words, head, base }.lane(p, cell))
+}
+
+/// Word-level value read against a shadow: the unboxed counterpart of
+/// [`shadow_call_value`]. Only reachable for flat-kind shadows — the
+/// lowering declines word paths for `Dyn` primitives, so a `Tree` shadow
 /// here is a compiler bug, not a runtime condition.
+#[allow(clippy::too_many_arguments)]
 fn shadow_value_word(
     base: &Store,
+    words: &[u64],
     id: PrimId,
-    e: &ShadowEntry,
+    s: &Shadow,
     m: PrimMethod,
     cell: usize,
     off: u32,
     width: u32,
 ) -> ExecResult<u64> {
     let p = &base.flat().meta.prims[id.0];
-    match (e, m) {
-        (ShadowEntry::Reg(lane), PrimMethod::RegRead) => Ok(get_bits(lane, off as usize, width)),
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::First) => {
-            flat::fifo_first_word(p, words, spill, off, width)
+    match (s, m) {
+        (Shadow::Reg { at, len }, PrimMethod::RegRead) => {
+            Ok(get_bits(&words[*at..at + len], off as usize, width))
         }
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::NotEmpty) => {
-            Ok((flat::fifo_geom(words).1 + spill.len() > 0) as u64)
+        (Shadow::Fifo { at, len, spill }, PrimMethod::First) => {
+            flat::fifo_first_word(p, &words[*at..at + len], spill, off, width)
         }
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::NotFull) => {
+        (Shadow::Fifo { at, spill, .. }, PrimMethod::NotEmpty) => {
+            Ok((words[at + 1] as usize + spill.len() > 0) as u64)
+        }
+        (Shadow::Fifo { at, spill, .. }, PrimMethod::NotFull) => {
             let FlatKind::Fifo { cap, .. } = p.kind else {
                 unreachable!("fifo shadow on a non-fifo");
             };
-            Ok((flat::fifo_geom(words).1 + spill.len() < cap) as u64)
+            Ok(((words[at + 1] as usize + spill.len()) < cap) as u64)
         }
-        (ShadowEntry::Cells(map), PrimMethod::Sub) => {
-            let FlatKind::RegFile { size } = p.kind else {
-                unreachable!("cell log on a non-regfile");
-            };
-            if cell >= size {
-                return Err(ExecError::Bounds(format!("sub {cell} out of {size}")));
-            }
-            match map.get(&cell) {
-                Some(lane) => Ok(get_bits(lane, off as usize, width)),
-                None => Ok(get_bits(
-                    base.flat().block(p),
-                    cell * p.lane * 64 + off as usize,
-                    width,
-                )),
-            }
-        }
+        (Shadow::Cells { head, .. }, PrimMethod::Sub) => Ok(get_bits(
+            cell_view(base, words, p, *head, cell)?,
+            off as usize,
+            width,
+        )),
         _ => unreachable!("word-level read on a boxed shadow"),
     }
 }
 
-/// Packed-aggregate value read against a shadow entry (copies bits
-/// instead of returning one word).
+/// Packed-aggregate value read against a shadow (copies bits instead of
+/// returning one word).
 #[allow(clippy::too_many_arguments)]
 fn shadow_value_packed(
     base: &Store,
+    words: &[u64],
     id: PrimId,
-    e: &ShadowEntry,
+    s: &Shadow,
     m: PrimMethod,
     cell: usize,
     off: u32,
@@ -1615,138 +1658,270 @@ fn shadow_value_packed(
     dst_bit: usize,
 ) -> ExecResult<()> {
     let p = &base.flat().meta.prims[id.0];
-    match (e, m) {
-        (ShadowEntry::Reg(lane), PrimMethod::RegRead) => {
-            copy_bits(lane, off as usize, dst, dst_bit, width);
+    match (s, m) {
+        (Shadow::Reg { at, len }, PrimMethod::RegRead) => {
+            copy_bits(&words[*at..at + len], off as usize, dst, dst_bit, width);
             Ok(())
         }
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::First) => {
-            flat::fifo_first_packed(p, words, spill, off, width, dst, dst_bit)
+        (Shadow::Fifo { at, len, spill }, PrimMethod::First) => {
+            flat::fifo_first_packed(p, &words[*at..at + len], spill, off, width, dst, dst_bit)
         }
-        (ShadowEntry::Cells(map), PrimMethod::Sub) => {
-            let FlatKind::RegFile { size } = p.kind else {
-                unreachable!("cell log on a non-regfile");
-            };
-            if cell >= size {
-                return Err(ExecError::Bounds(format!("sub {cell} out of {size}")));
-            }
-            match map.get(&cell) {
-                Some(lane) => copy_bits(lane, off as usize, dst, dst_bit, width),
-                None => copy_bits(
-                    base.flat().block(p),
-                    cell * p.lane * 64 + off as usize,
-                    dst,
-                    dst_bit,
-                    width,
-                ),
-            }
+        (Shadow::Cells { head, .. }, PrimMethod::Sub) => {
+            let lane = cell_view(base, words, p, *head, cell)?;
+            copy_bits(lane, off as usize, dst, dst_bit, width);
             Ok(())
         }
         _ => unreachable!("word-level read on a boxed shadow"),
     }
 }
 
-/// Word-level action against a shadow entry: the unboxed counterpart of
-/// [`shadow_call_action`], with the same error order as the boxed path
-/// (register-file bounds checks fire after the shadow exists and before
-/// the touched cell is copied into the log).
+/// Validates a register-file `upd` index and returns the touched cell's
+/// lane offset in the log, copying the cell in on first touch. The
+/// bounds checks fire after the shadow exists and before the cell is
+/// copied, like the boxed path.
+fn upd_cell(
+    base: &Store,
+    words: &mut Vec<u64>,
+    p: &FlatPrim,
+    head: &mut usize,
+    cell: i64,
+) -> ExecResult<usize> {
+    let FlatKind::RegFile { size } = p.kind else {
+        unreachable!("cell log on a non-regfile");
+    };
+    let cell =
+        usize::try_from(cell).map_err(|_| ExecError::Bounds(format!("negative index {cell}")))?;
+    if cell >= size {
+        return Err(ExecError::Bounds(format!("upd {cell} out of {size}")));
+    }
+    Ok(flat::log_cell(p, words, head, base.flat().block(p), cell))
+}
+
+/// Word-level action against a shadow: the unboxed counterpart of
+/// [`shadow_call_action`], with the same error order as the boxed path.
 fn shadow_word_action(
     base: &Store,
+    words: &mut Vec<u64>,
     id: PrimId,
-    e: &mut ShadowEntry,
+    s: &mut Shadow,
     m: PrimMethod,
     cell: i64,
     w: u64,
 ) -> ExecResult<()> {
     let p = &base.flat().meta.prims[id.0];
-    match (e, m) {
-        (ShadowEntry::Reg(lane), PrimMethod::RegWrite) => {
-            put_bits(lane, 0, p.layout.width, w);
+    match (s, m) {
+        (Shadow::Reg { at, len }, PrimMethod::RegWrite) => {
+            put_bits(&mut words[*at..*at + *len], 0, p.layout.width, w);
             Ok(())
         }
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::Enq) => {
-            flat::fifo_enq_word(p, words, spill.len(), w)
+        (Shadow::Fifo { at, len, spill }, PrimMethod::Enq) => {
+            flat::fifo_enq_word(p, &mut words[*at..*at + *len], spill.len(), w)
         }
-        (ShadowEntry::Cells(map), PrimMethod::Upd) => {
-            let FlatKind::RegFile { size } = p.kind else {
-                unreachable!("cell log on a non-regfile");
-            };
-            let cell = usize::try_from(cell)
-                .map_err(|_| ExecError::Bounds(format!("negative index {cell}")))?;
-            if cell >= size {
-                return Err(ExecError::Bounds(format!("upd {cell} out of {size}")));
-            }
-            let f = base.flat();
-            let lane = map
-                .entry(cell)
-                .or_insert_with(|| f.block(p)[cell * p.lane..(cell + 1) * p.lane].to_vec());
-            put_bits(lane, 0, p.layout.width, w);
+        (Shadow::Cells { head, .. }, PrimMethod::Upd) => {
+            let at = upd_cell(base, words, p, head, cell)?;
+            put_bits(&mut words[at..at + p.lane], 0, p.layout.width, w);
             Ok(())
         }
         _ => unreachable!("word-level action on a boxed shadow"),
     }
 }
 
-/// Packed-aggregate action against a shadow entry.
+/// Packed-aggregate action against a shadow.
+#[allow(clippy::too_many_arguments)]
 fn shadow_packed_action(
     base: &Store,
+    words: &mut Vec<u64>,
     id: PrimId,
-    e: &mut ShadowEntry,
+    s: &mut Shadow,
     m: PrimMethod,
     cell: i64,
     src: &[u64],
     src_bit: usize,
 ) -> ExecResult<()> {
     let p = &base.flat().meta.prims[id.0];
-    match (e, m) {
-        (ShadowEntry::Reg(lane), PrimMethod::RegWrite) => {
-            copy_bits(src, src_bit, lane, 0, p.layout.width);
+    match (s, m) {
+        (Shadow::Reg { at, len }, PrimMethod::RegWrite) => {
+            copy_bits(src, src_bit, &mut words[*at..*at + *len], 0, p.layout.width);
             Ok(())
         }
-        (ShadowEntry::Fifo { words, spill }, PrimMethod::Enq) => {
-            flat::fifo_enq_packed(p, words, spill.len(), src, src_bit)
+        (Shadow::Fifo { at, len, spill }, PrimMethod::Enq) => {
+            flat::fifo_enq_packed(p, &mut words[*at..*at + *len], spill.len(), src, src_bit)
         }
-        (ShadowEntry::Cells(map), PrimMethod::Upd) => {
-            let FlatKind::RegFile { size } = p.kind else {
-                unreachable!("cell log on a non-regfile");
-            };
-            let cell = usize::try_from(cell)
-                .map_err(|_| ExecError::Bounds(format!("negative index {cell}")))?;
-            if cell >= size {
-                return Err(ExecError::Bounds(format!("upd {cell} out of {size}")));
-            }
-            let f = base.flat();
-            let lane = map
-                .entry(cell)
-                .or_insert_with(|| f.block(p)[cell * p.lane..(cell + 1) * p.lane].to_vec());
-            copy_bits(src, src_bit, lane, 0, p.layout.width);
+        (Shadow::Cells { head, .. }, PrimMethod::Upd) => {
+            let at = upd_cell(base, words, p, head, cell)?;
+            copy_bits(src, src_bit, &mut words[at..at + p.lane], 0, p.layout.width);
             Ok(())
         }
         _ => unreachable!("word-level action on a boxed shadow"),
     }
 }
 
-/// One shadow frame: the cloned states and the set of primitives mutated
-/// through this frame.
-#[derive(Debug, Default)]
-struct Frame {
-    entries: HashMap<PrimId, ShadowEntry>,
-    written: HashSet<PrimId>,
+/// One shadowed primitive in a [`TxnLog`] frame.
+#[derive(Debug)]
+struct LogEntry {
+    id: PrimId,
+    /// Mutated through this frame (a shadow copied in by an action that
+    /// then failed is not).
+    written: bool,
+    shadow: Shadow,
 }
 
-/// A transaction: a stack of shadow frames over a base store.
+/// Where an open frame's entries and words begin.
+#[derive(Debug, Clone, Copy)]
+struct FrameMark {
+    entry: usize,
+    word: usize,
+    /// The first branch of an in-flight parallel composition: kept in
+    /// place for the merge but invisible to lookups, so the second
+    /// branch observes only the state both branches started from.
+    stashed: bool,
+}
+
+/// The reusable storage behind every [`Txn`]: one shadow-entry vector
+/// cut into frames by marks, and one word arena holding the flat
+/// shadows (register lanes, FIFO ring blocks, register-file cell
+/// records). Each scheduler owns one log and lends it to every firing,
+/// so in steady state a transaction allocates nothing — the paper's
+/// "shadows for rules are persistent/reused" (§6.2). Frames are a stack
+/// over both vectors: opening one records the lengths, discarding one
+/// truncates back to them. [`Txn::new`] clears the log, so a firing that
+/// aborted with an error leaks nothing into the next.
+#[derive(Debug, Default)]
+pub struct TxnLog {
+    entries: Vec<LogEntry>,
+    frames: Vec<FrameMark>,
+    words: Vec<u64>,
+}
+
+impl TxnLog {
+    /// An empty log. It allocates on first use and keeps its capacity.
+    pub fn new() -> TxnLog {
+        TxnLog::default()
+    }
+
+    /// Empties the log and opens the root frame.
+    fn reset(&mut self) {
+        self.entries.clear();
+        self.words.clear();
+        self.frames.clear();
+        self.push_frame();
+    }
+
+    fn push_frame(&mut self) {
+        self.frames.push(FrameMark {
+            entry: self.entries.len(),
+            word: self.words.len(),
+            stashed: false,
+        });
+    }
+
+    /// Closes every frame from index `keep` up, dropping their entries
+    /// and words.
+    fn unwind(&mut self, keep: usize) {
+        let m = self.frames[keep];
+        self.frames.truncate(keep);
+        self.entries.truncate(m.entry);
+        self.words.truncate(m.word);
+    }
+
+    /// The innermost visible entry for `id` among the lowest `frames`
+    /// frames, searched top-down (stashed frames are skipped).
+    fn find(&self, id: PrimId, frames: usize) -> Option<usize> {
+        let mut end = self
+            .frames
+            .get(frames)
+            .map_or(self.entries.len(), |m| m.entry);
+        for m in self.frames[..frames].iter().rev() {
+            if !m.stashed {
+                if let Some(i) = self.entries[m.entry..end].iter().position(|e| e.id == id) {
+                    return Some(m.entry + i);
+                }
+            }
+            end = m.entry;
+        }
+        None
+    }
+
+    /// The entry a read of `id` observes, if any.
+    fn view(&self, id: PrimId) -> Option<&LogEntry> {
+        self.find(id, self.frames.len()).map(|i| &self.entries[i])
+    }
+
+    /// A copy of entry `j`'s shadow, with its words duplicated at the
+    /// end of the arena.
+    fn copy_shadow(&mut self, j: usize) -> Shadow {
+        let words = &mut self.words;
+        match &self.entries[j].shadow {
+            Shadow::Tree(st) => Shadow::Tree(st.clone()),
+            &Shadow::Reg { at, len } => {
+                let new = words.len();
+                words.extend_from_within(at..at + len);
+                Shadow::Reg { at: new, len }
+            }
+            Shadow::Fifo { at, len, spill } => {
+                let new = words.len();
+                words.extend_from_within(*at..at + len);
+                Shadow::Fifo {
+                    at: new,
+                    len: *len,
+                    spill: spill.clone(),
+                }
+            }
+            &Shadow::Cells { head, lane } => {
+                let mut new = flat::NIL;
+                let mut at = head;
+                while at != flat::NIL {
+                    let rec = words.len();
+                    words.extend_from_within(at..at + 2 + lane);
+                    words[rec + 1] = new as u64;
+                    new = rec;
+                    at = words[at + 1] as usize;
+                }
+                Shadow::Cells { head: new, lane }
+            }
+        }
+    }
+
+    /// Folds every frame above `parent` into it: each written entry
+    /// replaces the parent's entry for the same primitive or joins the
+    /// parent's frame; unwritten copies are dropped. Their words stay in
+    /// the arena until the parent frame itself is closed.
+    fn merge_into(&mut self, parent: usize) {
+        let p_start = self.frames[parent].entry;
+        let c_start = self.frames[parent + 1].entry;
+        self.frames.truncate(parent + 1);
+        let mut keep = c_start;
+        for r in c_start..self.entries.len() {
+            if !self.entries[r].written {
+                continue;
+            }
+            let id = self.entries[r].id;
+            match self.entries[p_start..c_start]
+                .iter()
+                .position(|e| e.id == id)
+            {
+                Some(i) => self.entries.swap(p_start + i, r),
+                None => {
+                    self.entries.swap(keep, r);
+                    keep += 1;
+                }
+            }
+        }
+        self.entries.truncate(keep);
+    }
+}
+
+/// A transaction: a stack of shadow frames, kept in a borrowed
+/// [`TxnLog`], over a base store.
 ///
-/// Reads search the frame stack top-down and fall through to the base;
-/// writes clone the primitive into the top frame on first touch.
+/// Reads search the frames top-down and fall through to the base. The
+/// first write to a primitive in a frame copies it into that frame — a
+/// word-arena copy of its lane, ring block or touched cell on the flat
+/// backend, a cloned state on the tree backend.
 #[derive(Debug)]
 pub struct Txn<'s> {
     base: &'s mut Store,
-    frames: Vec<Frame>,
-    /// Frames of in-flight compiled parallel branches: [`Txn::par_mid`]
-    /// stashes the first branch's frame here so the second branch cannot
-    /// observe its writes; [`Txn::par_end`] pops it for the merge. A
-    /// stack, so nested `Par` compiles too.
-    par_stash: Vec<Frame>,
+    log: &'s mut TxnLog,
     /// Cost counters for this transaction.
     pub cost: Cost,
     /// Shadow pricing policy.
@@ -1756,40 +1931,35 @@ pub struct Txn<'s> {
 }
 
 impl<'s> Txn<'s> {
-    /// Opens a transaction with a single root frame.
-    pub fn new(base: &'s mut Store, policy: ShadowPolicy) -> Txn<'s> {
+    /// Opens a transaction with a single root frame, clearing whatever
+    /// an earlier transaction left in `log`.
+    pub fn new(base: &'s mut Store, log: &'s mut TxnLog, policy: ShadowPolicy) -> Txn<'s> {
         let mut cost = Cost::default();
         if policy == ShadowPolicy::Full {
             cost.shadow_words = base.total_words();
         }
+        log.reset();
         Txn {
             base,
-            frames: vec![Frame::default()],
-            par_stash: Vec::new(),
+            log,
             cost,
             policy,
             max_loop_iters: 1_000_000,
         }
     }
 
-    /// Looks up the innermost shadow entry for a primitive, if any.
-    fn view_entry(&self, id: PrimId) -> Option<&ShadowEntry> {
-        self.frames.iter().rev().find_map(|f| f.entries.get(&id))
-    }
-
-    /// Invokes a value method through the log: the frame stack is
-    /// searched top-down, and a miss reads the committed store directly.
+    /// Invokes a value method through the log: the frames are searched
+    /// top-down, and a miss reads the committed store directly.
     pub fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<Value> {
         self.cost.reads += 1;
-        match self.view_entry(id) {
-            Some(e) => shadow_call_value(self.base, id, e, m, args),
+        match self.log.view(id) {
+            Some(e) => shadow_call_value(self.base, &self.log.words, id, &e.shadow, m, args),
             None => self.base.call_value_at(id, m, args),
         }
     }
 
     /// Invokes an action method, shadowing the primitive into the top
-    /// frame on first write (partial shadowing — on the flat backend the
-    /// shadow is a word log, not a cloned tree). Under
+    /// frame on first write (partial shadowing). Under
     /// [`ShadowPolicy::InPlace`] the write goes straight to the committed
     /// store.
     pub fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<()> {
@@ -1797,38 +1967,45 @@ impl<'s> Txn<'s> {
         if self.policy == ShadowPolicy::InPlace {
             return self.base.call_action_at(id, m, args);
         }
-        self.ensure_shadow_entry(id);
-        let frame = self.frames.last_mut().expect("root frame missing");
-        let entry = frame.entries.get_mut(&id).expect("just inserted");
-        shadow_call_action(self.base, id, entry, m, args)?;
-        frame.written.insert(id);
+        let i = self.ensure_shadow_entry(id);
+        let log = &mut *self.log;
+        let e = &mut log.entries[i];
+        shadow_call_action(self.base, &mut log.words, id, &mut e.shadow, m, args)?;
+        e.written = true;
         Ok(())
     }
 
-    /// Ensures the top frame holds a shadow entry for `id`: clones the
-    /// nearest lower-frame shadow if one exists (it carries that frame's
-    /// occupancy), else shadows the committed state. First touch under
-    /// [`ShadowPolicy::Partial`] prices the shadow into
+    /// Ensures the top frame holds a shadow entry for `id` and returns
+    /// its index: copies the nearest lower-frame shadow if one exists (it
+    /// carries that frame's occupancy), else shadows the committed state.
+    /// First touch under [`ShadowPolicy::Partial`] prices the shadow into
     /// `cost.shadow_words` — this happens *before* any action-level error
     /// (e.g. a bad register-file index), which is why the word-level
     /// entry points below share this helper with [`Txn::call_action`].
-    fn ensure_shadow_entry(&mut self, id: PrimId) {
-        let top = self.frames.len() - 1;
-        if !self.frames[top].entries.contains_key(&id) {
-            let entry = self.frames[..top]
-                .iter()
-                .rev()
-                .find_map(|f| f.entries.get(&id).cloned())
-                .unwrap_or_else(|| make_shadow(self.base, id));
-            if self.policy == ShadowPolicy::Partial {
-                self.cost.shadow_words += shadow_size_words(self.base, id, &entry);
-            }
-            self.frames[top].entries.insert(id, entry);
+    fn ensure_shadow_entry(&mut self, id: PrimId) -> usize {
+        let log = &mut *self.log;
+        let top = log.frames.len() - 1;
+        let start = log.frames[top].entry;
+        if let Some(i) = log.entries[start..].iter().position(|e| e.id == id) {
+            return start + i;
         }
+        let shadow = match log.find(id, top) {
+            Some(j) => log.copy_shadow(j),
+            None => make_shadow(self.base, &mut log.words, id),
+        };
+        if self.policy == ShadowPolicy::Partial {
+            self.cost.shadow_words += shadow_size_words(self.base, &log.words, id, &shadow);
+        }
+        log.entries.push(LogEntry {
+            id,
+            written: false,
+            shadow,
+        });
+        log.entries.len() - 1
     }
 
     /// Word-level [`Txn::call_value`]: charges one read, then reads the
-    /// packed span through the frame stack without materializing a
+    /// packed span through the frames without materializing a
     /// [`Value`]. Coverage mirrors [`Store::call_value_word_at`].
     pub(crate) fn call_value_word(
         &mut self,
@@ -1854,8 +2031,17 @@ impl<'s> Txn<'s> {
         off: u32,
         width: u32,
     ) -> ExecResult<u64> {
-        match self.view_entry(id) {
-            Some(e) => shadow_value_word(self.base, id, e, m, cell, off, width),
+        match self.log.view(id) {
+            Some(e) => shadow_value_word(
+                self.base,
+                &self.log.words,
+                id,
+                &e.shadow,
+                m,
+                cell,
+                off,
+                width,
+            ),
             None => self.base.call_value_word_at(id, m, cell, off, width),
         }
     }
@@ -1873,8 +2059,19 @@ impl<'s> Txn<'s> {
         dst: &mut [u64],
         dst_bit: usize,
     ) -> ExecResult<()> {
-        match self.view_entry(id) {
-            Some(e) => shadow_value_packed(self.base, id, e, m, cell, off, width, dst, dst_bit),
+        match self.log.view(id) {
+            Some(e) => shadow_value_packed(
+                self.base,
+                &self.log.words,
+                id,
+                &e.shadow,
+                m,
+                cell,
+                off,
+                width,
+                dst,
+                dst_bit,
+            ),
             None => self
                 .base
                 .call_value_packed_at(id, m, cell, off, width, dst, dst_bit),
@@ -1895,11 +2092,11 @@ impl<'s> Txn<'s> {
         if self.policy == ShadowPolicy::InPlace {
             return self.base.call_action_word_at(id, m, cell, w);
         }
-        self.ensure_shadow_entry(id);
-        let frame = self.frames.last_mut().expect("root frame missing");
-        let entry = frame.entries.get_mut(&id).expect("just inserted");
-        shadow_word_action(self.base, id, entry, m, cell, w)?;
-        frame.written.insert(id);
+        let i = self.ensure_shadow_entry(id);
+        let log = &mut *self.log;
+        let e = &mut log.entries[i];
+        shadow_word_action(self.base, &mut log.words, id, &mut e.shadow, m, cell, w)?;
+        e.written = true;
         Ok(())
     }
 
@@ -1917,42 +2114,38 @@ impl<'s> Txn<'s> {
         if self.policy == ShadowPolicy::InPlace {
             return self.base.call_action_packed_at(id, m, cell, src, src_bit);
         }
-        self.ensure_shadow_entry(id);
-        let frame = self.frames.last_mut().expect("root frame missing");
-        let entry = frame.entries.get_mut(&id).expect("just inserted");
-        shadow_packed_action(self.base, id, entry, m, cell, src, src_bit)?;
-        frame.written.insert(id);
+        let i = self.ensure_shadow_entry(id);
+        let log = &mut *self.log;
+        let e = &mut log.entries[i];
+        shadow_packed_action(
+            self.base,
+            &mut log.words,
+            id,
+            &mut e.shadow,
+            m,
+            cell,
+            src,
+            src_bit,
+        )?;
+        e.written = true;
         Ok(())
     }
 
-    /// Pushes a fresh frame (for parallel branches and `localGuard`).
+    /// Pushes a fresh frame (for `localGuard`).
     pub fn push_frame(&mut self) {
-        self.frames.push(Frame::default());
+        self.log.push_frame();
     }
 
     /// Pops the top frame, discarding its effects (branch rollback).
     pub fn pop_discard(&mut self) {
-        self.frames.pop().expect("frame underflow");
+        self.log.unwind(self.log.frames.len() - 1);
         self.cost.rollbacks += 1;
     }
 
-    /// Pops the top frame and returns it for later merging.
-    fn pop_frame(&mut self) -> Frame {
-        self.frames.pop().expect("frame underflow")
-    }
-
-    /// Pops the top frame and merges it into the new top (used by
-    /// `localGuard` success and parallel-branch merge).
+    /// Pops the top frame and merges its writes into the new top (used
+    /// by `localGuard` success).
     pub fn pop_merge(&mut self) -> ExecResult<()> {
-        let f = self.pop_frame();
-        let top = self.frames.last_mut().expect("root frame missing");
-        for (id, st) in f.entries {
-            // Only propagate written entries; pure clones are dropped.
-            if f.written.contains(&id) {
-                top.entries.insert(id, st);
-                top.written.insert(id);
-            }
-        }
+        self.log.merge_into(self.log.frames.len() - 2);
         Ok(())
     }
 
@@ -1973,103 +2166,89 @@ impl<'s> Txn<'s> {
     }
 
     /// [`Txn::run_par`] with a caller context threaded through both
-    /// branches sequentially. The branches still run against isolated
-    /// frames; only the context is shared, letting the interpreter reuse
-    /// one environment instead of cloning it per branch.
+    /// branches sequentially, driven through [`Txn::par_start`],
+    /// [`Txn::par_mid`] and [`Txn::par_end`] like a compiled `Par`. The
+    /// branches still run against isolated frames; only the context is
+    /// shared, letting the interpreter reuse one environment instead of
+    /// cloning it per branch. A failing branch closes both branch frames
+    /// before its error propagates.
     pub fn run_par_ctx<C, F, G>(&mut self, ctx: &mut C, f: F, g: G) -> ExecResult<()>
     where
         F: FnOnce(&mut Txn<'s>, &mut C) -> ExecResult<()>,
         G: FnOnce(&mut Txn<'s>, &mut C) -> ExecResult<()>,
     {
-        if self.policy == ShadowPolicy::InPlace {
-            return Err(ExecError::Malformed(
-                "parallel composition reached an in-place (guard-lifted) execution".into(),
-            ));
+        self.par_start()?;
+        let keep = self.log.frames.len() - 1;
+        if let Err(e) = f(self, ctx) {
+            self.log.unwind(keep);
+            return Err(e);
         }
-        self.push_frame();
-        match f(self, ctx) {
-            Ok(()) => {}
-            Err(e) => {
-                self.frames.pop();
-                return Err(e);
-            }
+        self.par_mid();
+        if let Err(e) = g(self, ctx) {
+            self.log.unwind(keep);
+            return Err(e);
         }
-        let fa = self.pop_frame();
-        self.push_frame();
-        match g(self, ctx) {
-            Ok(()) => {}
-            Err(e) => {
-                self.frames.pop();
-                return Err(e);
-            }
-        }
-        let fb = self.pop_frame();
-        if let Some(id) = fa.written.intersection(&fb.written).min() {
-            return Err(ExecError::DoubleWrite(format!("primitive #{}", id.0)));
-        }
-        let top = self.frames.last_mut().expect("root frame missing");
-        for frame in [fa, fb] {
-            for (id, st) in frame.entries {
-                if frame.written.contains(&id) {
-                    top.entries.insert(id, st);
-                    top.written.insert(id);
-                }
-            }
-        }
-        Ok(())
+        self.par_end()
     }
 
-    /// Compiled-execution counterpart of [`Txn::run_par`], step one of
-    /// three: opens the isolation frame for the first branch. The VM
-    /// emits `par_start` / `par_mid` / `par_end` around the two branches
-    /// of a compiled `Par`; together they perform exactly the frame
-    /// discipline of [`Txn::run_par_ctx`], so modeled costs and outcomes
-    /// are identical to the interpreter's.
+    /// Parallel composition, step one of three: opens the isolation frame
+    /// for the first branch. Compiled rules call `par_start` /
+    /// `par_mid` / `par_end` around the two branches of a `Par`;
+    /// [`Txn::run_par_ctx`] is the same three steps around two closures.
     ///
     /// # Errors
     ///
-    /// Rejects parallel composition under [`ShadowPolicy::InPlace`],
-    /// like the interpreter.
+    /// Rejects parallel composition under [`ShadowPolicy::InPlace`].
     pub fn par_start(&mut self) -> ExecResult<()> {
         if self.policy == ShadowPolicy::InPlace {
             return Err(ExecError::Malformed(
                 "parallel composition reached an in-place (guard-lifted) execution".into(),
             ));
         }
-        self.push_frame();
+        self.log.push_frame();
         Ok(())
     }
 
-    /// Between compiled parallel branches: stashes the first branch's
-    /// frame (so the second observes only entry state) and opens the
-    /// second branch's frame.
+    /// Between parallel branches: stashes the first branch's frame (so
+    /// the second observes only entry state) and opens the second
+    /// branch's frame.
     pub fn par_mid(&mut self) {
-        let fa = self.pop_frame();
-        self.par_stash.push(fa);
-        self.push_frame();
+        self.log
+            .frames
+            .last_mut()
+            .expect("par_mid without par_start")
+            .stashed = true;
+        self.log.push_frame();
     }
 
-    /// After the second compiled branch: the double-write check and
-    /// merge of [`Txn::run_par`].
+    /// After the second branch: the double-write check, then the merge of
+    /// both branches' writes into the frame they started from.
     ///
     /// # Errors
     ///
-    /// `DoubleWrite` if both branches mutated the same primitive.
+    /// `DoubleWrite` naming the smallest primitive both branches mutated;
+    /// both branch frames are closed first.
     pub fn par_end(&mut self) -> ExecResult<()> {
-        let fb = self.pop_frame();
-        let fa = self.par_stash.pop().expect("par_end without par_mid");
-        if let Some(id) = fa.written.intersection(&fb.written).min() {
+        let log = &mut *self.log;
+        let b = log.frames.len() - 1;
+        // Frames: [.., parent, a (stashed), b]; the root is never stashed.
+        assert!(
+            b >= 2 && log.frames[b - 1].stashed,
+            "par_end without par_mid"
+        );
+        let a = b - 1;
+        let (fa, fb) =
+            log.entries[log.frames[a].entry..].split_at(log.frames[b].entry - log.frames[a].entry);
+        let clash = fb
+            .iter()
+            .filter(|e| e.written && fa.iter().any(|x| x.written && x.id == e.id))
+            .map(|e| e.id)
+            .min();
+        if let Some(id) = clash {
+            log.unwind(a);
             return Err(ExecError::DoubleWrite(format!("primitive #{}", id.0)));
         }
-        let top = self.frames.last_mut().expect("root frame missing");
-        for frame in [fa, fb] {
-            for (id, st) in frame.entries {
-                if frame.written.contains(&id) {
-                    top.entries.insert(id, st);
-                    top.written.insert(id);
-                }
-            }
-        }
+        log.merge_into(a - 1);
         Ok(())
     }
 
@@ -2079,15 +2258,15 @@ impl<'s> Txn<'s> {
     ///
     /// Panics if branch frames are still open.
     pub fn commit(mut self) -> Cost {
-        assert_eq!(self.frames.len(), 1, "unbalanced frames at commit");
-        assert!(self.par_stash.is_empty(), "unbalanced par frames at commit");
-        let root = self.frames.pop().expect("root");
-        for (id, e) in root.entries {
-            if root.written.contains(&id) {
-                self.cost.commit_words += shadow_size_words(self.base, id, &e);
-                self.base.apply_shadow(id, e);
+        assert_eq!(self.log.frames.len(), 1, "unbalanced frames at commit");
+        let log = &mut *self.log;
+        for e in log.entries.drain(..) {
+            if e.written {
+                self.cost.commit_words += shadow_size_words(self.base, &log.words, e.id, &e.shadow);
+                self.base.apply_shadow(e.id, e.shadow, &log.words);
             }
         }
+        log.unwind(0);
         self.cost
     }
 
@@ -2095,8 +2274,7 @@ impl<'s> Txn<'s> {
     /// store untouched.
     pub fn rollback(mut self) -> Cost {
         self.cost.rollbacks += 1;
-        self.frames.clear();
-        self.par_stash.clear();
+        self.log.unwind(0);
         self.cost
     }
 
@@ -2127,15 +2305,10 @@ impl<'s> Txn<'s> {
         store.call_value_at(id, m, args)
     }
 
-    /// Number of open frames (for tests).
+    /// Number of open frames visible to reads (a stashed parallel branch
+    /// does not count).
     pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// True if the top frame has recorded a write to `id` (or any lower
-    /// frame has).
-    pub fn has_written(&self, id: PrimId) -> bool {
-        self.frames.iter().any(|f| f.written.contains(&id))
+        self.log.frames.iter().filter(|m| !m.stashed).count()
     }
 }
 
@@ -2182,7 +2355,8 @@ mod tests {
     fn commit_applies_writes() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
         assert_eq!(
@@ -2230,7 +2404,8 @@ mod tests {
     fn rollback_discards_writes() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
         let cost = t.rollback();
@@ -2246,7 +2421,8 @@ mod tests {
         // a := b | b := a must swap, both reading pre-state.
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.run_par(
             |t| {
                 let vb = t.call_value(B, PrimMethod::RegRead, &[])?;
@@ -2273,7 +2449,8 @@ mod tests {
     fn double_write_detected() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         let r = t.run_par(
             |t| t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 3)]),
             |t| t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 4)]),
@@ -2290,7 +2467,8 @@ mod tests {
         s.state_mut(Q)
             .call_action(PrimMethod::Enq, &[Value::int(8, 7)])
             .unwrap();
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         let r = t.run_par(
             |t| t.call_action(Q, PrimMethod::Deq, &[]),
             |t| t.call_action(Q, PrimMethod::Deq, &[]),
@@ -2302,7 +2480,8 @@ mod tests {
     fn seq_observes_prior_writes() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 5)])
             .unwrap();
         let v = t.call_value(A, PrimMethod::RegRead, &[]).unwrap();
@@ -2318,7 +2497,8 @@ mod tests {
     fn local_guard_frame_discard() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.push_frame();
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
@@ -2342,7 +2522,8 @@ mod tests {
     fn full_shadow_policy_prices_whole_store() {
         let d = design2();
         let mut s = Store::new(&d);
-        let t = Txn::new(&mut s, ShadowPolicy::Full);
+        let mut log = TxnLog::new();
+        let t = Txn::new(&mut s, &mut log, ShadowPolicy::Full);
         assert!(t.cost.shadow_words >= 3);
     }
 
@@ -2350,7 +2531,8 @@ mod tests {
     fn partial_shadow_prices_only_touched() {
         let d = design2();
         let mut s = Store::new(&d);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         assert_eq!(t.cost.shadow_words, 0);
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 0)])
             .unwrap();
@@ -2416,7 +2598,8 @@ mod tests {
         let d = design2();
         let mut s = Store::new(&d);
         s.drain_sched_dirty(&mut Vec::new());
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         t.call_value(B, PrimMethod::RegRead, &[]).unwrap();
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
@@ -2452,7 +2635,8 @@ mod tests {
         let mut s = Store::new(&d);
         s.push_source(PrimId(0), Value::int(8, 42));
         assert_eq!(s.source_pending(PrimId(0)), 1);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         let v = t.call_value(PrimId(0), PrimMethod::First, &[]).unwrap();
         t.call_action(PrimId(0), PrimMethod::Deq, &[]).unwrap();
         t.call_action(PrimId(1), PrimMethod::Enq, &[v]).unwrap();
@@ -2481,7 +2665,8 @@ mod tests {
     /// Runs an identical transaction script on a store and reports the
     /// cost plus the decoded final states.
     fn scripted_txn(s: &mut Store) -> (Cost, Vec<PrimState>) {
-        let mut t = Txn::new(s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(s, &mut log, ShadowPolicy::Partial);
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
         assert_eq!(
@@ -2730,7 +2915,8 @@ mod tests {
         let mut s = Store::new_flat(&d);
         s.push_source(PrimId(0), Value::int(8, 42));
         assert_eq!(s.source_pending(PrimId(0)), 1);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         let v = t.call_value(PrimId(0), PrimMethod::First, &[]).unwrap();
         t.call_action(PrimId(0), PrimMethod::Deq, &[]).unwrap();
         t.call_action(PrimId(1), PrimMethod::Enq, &[v]).unwrap();
@@ -2760,7 +2946,8 @@ mod tests {
         let mut s = Store::new_flat(&d);
         let _ = s.snapshot_cow();
         assert_eq!(s.ckpt_copied_words(), 0);
-        let mut t = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         for i in 0..4u64 {
             t.call_action(
                 PrimId(0),
@@ -2780,6 +2967,182 @@ mod tests {
                     .unwrap(),
                 Value::bits(64, i + 1)
             );
+        }
+    }
+
+    // ---- transaction-log reuse -------------------------------------------
+
+    type Script = fn(&mut Txn<'_>) -> ExecResult<()>;
+
+    /// Runs a script as one firing, ending it the way a scheduler does:
+    /// commit on success, roll back on a guard failure, and drop the
+    /// transaction (log left as the error found it) on any other error.
+    fn fire(s: &mut Store, log: &mut TxnLog, script: Script) -> (ExecResult<()>, Cost) {
+        let mut t = Txn::new(s, log, ShadowPolicy::Partial);
+        match script(&mut t) {
+            Ok(()) => (Ok(()), t.commit()),
+            Err(ExecError::GuardFail) => (Err(ExecError::GuardFail), t.rollback()),
+            Err(e) => (Err(e), t.cost),
+        }
+    }
+
+    fn w(t: &mut Txn<'_>, id: PrimId, v: i64) -> ExecResult<()> {
+        t.call_action(id, PrimMethod::RegWrite, &[Value::int(8, v)])
+    }
+
+    fn upd(t: &mut Txn<'_>, cell: i64, v: i64) -> ExecResult<()> {
+        t.call_action(
+            RF,
+            PrimMethod::Upd,
+            &[Value::int(32, cell), Value::int(32, v)],
+        )
+    }
+
+    /// Asserts that a transaction opened on `log` observes exactly the
+    /// committed state of every primitive of `design_rf`.
+    fn assert_reads_committed(s: &mut Store, log: &mut TxnLog) {
+        let committed: Vec<PrimState> = (0..s.len()).map(|i| s.get_state(PrimId(i))).collect();
+        let t = &mut Txn::new(s, log, ShadowPolicy::Partial);
+        let mut probes = vec![
+            (A, PrimMethod::RegRead, vec![]),
+            (B, PrimMethod::RegRead, vec![]),
+            (Q, PrimMethod::NotEmpty, vec![]),
+            (Q, PrimMethod::First, vec![]),
+        ];
+        probes.extend((0..8).map(|c| (RF, PrimMethod::Sub, vec![Value::int(32, c)])));
+        for (id, m, args) in probes {
+            assert_eq!(
+                t.call_value(id, m, &args),
+                committed[id.0].call_value(m, &args),
+                "{id:?}.{m:?}{args:?} must read committed state"
+            );
+        }
+    }
+
+    #[test]
+    fn one_log_serves_commit_rollback_errors_and_nested_par() {
+        let steps: [(&str, Script, ExecResult<()>); 5] = [
+            (
+                "commit",
+                |t| {
+                    w(t, A, 9)?;
+                    t.call_action(Q, PrimMethod::Enq, &[Value::int(8, 5)])?;
+                    upd(t, 2, 42)
+                },
+                Ok(()),
+            ),
+            (
+                "rollback",
+                |t| {
+                    w(t, B, 7)?;
+                    upd(t, 1, 5)?;
+                    t.call_action(Q, PrimMethod::Deq, &[])?;
+                    Err(ExecError::GuardFail)
+                },
+                Err(ExecError::GuardFail),
+            ),
+            (
+                "double write from par_end",
+                |t| {
+                    t.par_start()?;
+                    w(t, B, 1)?;
+                    upd(t, 3, 3)?;
+                    t.par_mid();
+                    w(t, A, 2)?;
+                    w(t, B, 2)?;
+                    t.par_end()
+                },
+                Err(ExecError::DoubleWrite("primitive #1".into())),
+            ),
+            (
+                "regfile bounds after first touch",
+                |t| {
+                    upd(t, 0, 11)?;
+                    upd(t, 99, 1)
+                },
+                Err(ExecError::Bounds("upd 99 out of 8".into())),
+            ),
+            (
+                "nested par",
+                |t| {
+                    t.par_start()?;
+                    t.par_start()?;
+                    w(t, A, 3)?;
+                    upd(t, 4, 4)?;
+                    t.par_mid();
+                    w(t, B, 4)?;
+                    t.par_end()?;
+                    t.par_mid();
+                    t.call_action(Q, PrimMethod::Deq, &[])?;
+                    t.par_end()
+                },
+                Ok(()),
+            ),
+        ];
+        for flat in [false, true] {
+            let d = design_rf();
+            let mut s = Store::new_like(&d, flat);
+            let mut log = TxnLog::new();
+            for (name, script, want) in steps.iter().cloned() {
+                let mut fresh = s.clone();
+                let reference = fire(&mut fresh, &mut TxnLog::new(), script);
+                let reused = fire(&mut s, &mut log, script);
+                assert_eq!(reused.0, want, "{name} (flat: {flat})");
+                assert_eq!(reused, reference, "{name}: reused log vs fresh log");
+                assert!(s == fresh, "{name}: committed state vs fresh log");
+                assert_reads_committed(&mut s, &mut log);
+            }
+            let reg = |s: &Store, id| s.get_state(id).call_value(PrimMethod::RegRead, &[]);
+            assert_eq!(reg(&s, A), Ok(Value::int(8, 3)));
+            assert_eq!(reg(&s, B), Ok(Value::int(8, 4)));
+            assert_eq!(
+                s.get_state(Q).call_value(PrimMethod::NotEmpty, &[]),
+                Ok(Value::Bool(false))
+            );
+            let cells: Vec<_> = (0..5)
+                .map(|c| {
+                    s.get_state(RF)
+                        .call_value(PrimMethod::Sub, &[Value::int(32, c)])
+                        .unwrap()
+                })
+                .collect();
+            let want = [1, 2, 42, 0, 4].map(|v| Value::int(32, v));
+            assert_eq!(cells, want, "flat: {flat}");
+        }
+    }
+
+    #[test]
+    fn par_double_write_names_smallest_of_three_overlaps() {
+        for flat in [false, true] {
+            let d = design_rf();
+            let mut s = Store::new_like(&d, flat);
+            let mut log = TxnLog::new();
+            let want = Err(ExecError::DoubleWrite("primitive #0".into()));
+            let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
+            let r = t.run_par(
+                |t| {
+                    upd(t, 1, 1)?;
+                    w(t, B, 1)?;
+                    w(t, A, 1)
+                },
+                |t| {
+                    w(t, A, 2)?;
+                    upd(t, 2, 2)?;
+                    w(t, B, 2)
+                },
+            );
+            assert_eq!(r, want, "interpreted (flat: {flat})");
+            assert_eq!(t.depth(), 1, "a failed merge closes both branch frames");
+            t.par_start().unwrap();
+            w(&mut t, B, 1).unwrap();
+            upd(&mut t, 6, 1).unwrap();
+            w(&mut t, A, 1).unwrap();
+            t.par_mid();
+            upd(&mut t, 7, 2).unwrap();
+            w(&mut t, A, 2).unwrap();
+            w(&mut t, B, 2).unwrap();
+            assert_eq!(t.par_end(), want, "compiled (flat: {flat})");
+            assert_eq!(t.depth(), 1);
         }
     }
 }

@@ -685,13 +685,14 @@ mod tests {
     use crate::native::render;
     use bcl_core::exec::{eval, Env};
     use bcl_core::sched::{Strategy, SwOptions, SwRunner};
-    use bcl_core::store::{ShadowPolicy, Store, Txn};
+    use bcl_core::store::{ShadowPolicy, Store, Txn, TxnLog};
 
     /// Evaluate a closed expression (with the given env) on an empty store.
     fn eval_expr(e: &Expr, env: &mut Env) -> Value {
         let d = Design::default();
         let mut s = Store::new(&d);
-        let mut txn = Txn::new(&mut s, ShadowPolicy::Partial);
+        let mut log = TxnLog::new();
+        let mut txn = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
         eval(&mut txn, env, e).expect("expression evaluates")
     }
 

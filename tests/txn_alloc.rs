@@ -1,0 +1,217 @@
+//! Steady-state allocation check for rule transactions.
+//!
+//! A scheduler lends one reusable transaction log to every firing, so
+//! once its buffers have grown to the design's footprint a clock cycle
+//! of [`HwSim::step`] or a [`SwRunner::step`] must not touch the heap —
+//! not on commit, not on rollback, not through parallel branches. This
+//! binary installs a counting global allocator that counts only while
+//! the measuring thread has switched it on, so the harness's own
+//! threads do not disturb the count.
+//!
+//! Both designs are word-typed (every value is an `Int(32)`), so every
+//! rule lowers to word closures on the flat store and no boxed `Value`
+//! is ever built.
+
+use bcl_core::builder::{dsl::*, ModuleBuilder};
+use bcl_core::design::Design;
+use bcl_core::program::Program;
+use bcl_core::sched::{ExecBackend, HwSim, Strategy, SwOptions, SwRunner};
+use bcl_core::store::Store;
+use bcl_core::types::Type;
+use bcl_core::value::Value;
+use bcl_core::xform::ExecMode;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local cells that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's guarantees for `alloc` are passed through.
+        unsafe { System.alloc(l) }
+    }
+
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's guarantees for `alloc_zeroed` are passed through.
+        unsafe { System.alloc_zeroed(l) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        // SAFETY: the caller's guarantees for `dealloc` are passed through.
+        unsafe { System.dealloc(p, l) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's guarantees for `realloc` are passed through.
+        unsafe { System.realloc(p, l, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations made by this thread while running `f`.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|a| a.set(0));
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get)
+}
+
+fn i32c(v: i64) -> bcl_core::ast::Expr {
+    cint(32, v)
+}
+
+/// `r := r == last ? 0 : r + 1`.
+fn wrap_inc(r: &str, last: i64) -> bcl_core::ast::Action {
+    write(
+        r,
+        cond(eq(read(r), i32c(last)), i32c(0), add(read(r), i32c(1))),
+    )
+}
+
+/// A closed three-stage hardware pipeline that runs forever: `produce`
+/// writes two registers, a FIFO and a register-file cell in one `Par`;
+/// `relay` moves items between FIFOs; `consume` steps a phase register
+/// and its guard fails once the phase wraps to 0, until `rearm` (which
+/// conflicts with it, so never shares its cycle) sets it to 1 again.
+fn hw_design() -> Design {
+    let mut m = ModuleBuilder::new("AllocHw");
+    m.reg("n", Value::int(32, 0));
+    m.reg("slot", Value::int(32, 0));
+    m.reg("acc", Value::int(32, 0));
+    m.reg("phase", Value::int(32, 1));
+    m.fifo("q", 2, Type::Int(32));
+    m.fifo("r", 2, Type::Int(32));
+    m.regfile("hist", 8, Type::Int(32), vec![]);
+    m.rule(
+        "produce",
+        par(vec![
+            enq("q", read("n")),
+            write("n", add(read("n"), i32c(1))),
+            upd("hist", read("slot"), read("n")),
+            wrap_inc("slot", 7),
+        ]),
+    );
+    m.rule(
+        "relay",
+        with_first("x", "q", enq("r", mul(var("x"), i32c(3)))),
+    );
+    m.rule(
+        "consume",
+        when_a(
+            ne(read("phase"), i32c(0)),
+            with_first(
+                "y",
+                "r",
+                par(vec![
+                    write("acc", add(read("acc"), var("y"))),
+                    wrap_inc("phase", 2),
+                ]),
+            ),
+        ),
+    );
+    m.rule(
+        "rearm",
+        when_a(eq(read("phase"), i32c(0)), write("phase", i32c(1))),
+    );
+    bcl_core::elaborate(&Program::with_root(m.build())).unwrap()
+}
+
+/// A software partition whose `step` rule keeps a guard that lifting
+/// cannot hoist: it reads `c` after the rule's own write to `c`, so it
+/// is checked mid-transaction. It fails (rolling back) whenever `c`
+/// would wrap to 0, until `rearm` resets `c`.
+fn sw_design() -> Design {
+    let mut m = ModuleBuilder::new("AllocSw");
+    m.reg("c", Value::int(32, 0));
+    m.reg("u", Value::int(32, 0));
+    m.fifo("w", 4, Type::Int(32));
+    m.rule(
+        "step",
+        seq(vec![
+            wrap_inc("c", 3),
+            when_a(ne(read("c"), i32c(0)), enq("w", read("c"))),
+        ]),
+    );
+    m.rule("rearm", when_a(eq(read("c"), i32c(3)), write("c", i32c(0))));
+    m.rule("drain", with_first("z", "w", write("u", var("z"))));
+    bcl_core::elaborate(&Program::with_root(m.build())).unwrap()
+}
+
+#[test]
+fn hw_step_allocates_nothing_in_steady_state() {
+    let d = hw_design();
+    let mut sim = HwSim::with_store(&d, Store::new_flat(&d)).unwrap();
+    sim.compiled = true;
+    for _ in 0..200 {
+        sim.step().unwrap();
+    }
+    let before = sim.report();
+    let allocs = allocs_during(|| {
+        for _ in 0..1000 {
+            sim.step().unwrap();
+        }
+    });
+    let after = sim.report();
+    let fired: Vec<u64> = (0..d.rules.len())
+        .map(|i| after.fired[i] - before.fired[i])
+        .collect();
+    assert!(
+        fired.iter().all(|&f| f > 0),
+        "every rule must fire while measured: {fired:?}"
+    );
+    assert!(
+        fired[2] < 1000,
+        "consume's guard must fail on some cycles: {fired:?}"
+    );
+    assert_eq!(allocs, 0, "1000 HwSim::step calls allocated");
+}
+
+#[test]
+fn sw_step_allocates_nothing_in_steady_state() {
+    let d = sw_design();
+    // Priority order tries `step` before `rearm`, so `step` meets the
+    // wrap and rolls back instead of `rearm` always getting there first.
+    let opts = SwOptions {
+        strategy: Strategy::Priority,
+        ..ExecBackend::Compiled.sw_options()
+    };
+    let mut sw = SwRunner::new(&d, opts);
+    assert_eq!(sw.plan(0).mode, ExecMode::Transactional);
+    assert!(sw.plan(0).residual, "step's guard must stay in the body");
+    for _ in 0..200 {
+        assert!(sw.step().unwrap());
+    }
+    let before = (sw.report(), sw.cost.rollbacks);
+    let allocs = allocs_during(|| {
+        for _ in 0..1000 {
+            sw.step().unwrap();
+        }
+    });
+    let after = (sw.report(), sw.cost.rollbacks);
+    assert!(
+        after.0.fired[0] > before.0.fired[0],
+        "step must commit while measured"
+    );
+    assert!(after.1 > before.1, "step must roll back while measured");
+    assert_eq!(allocs, 0, "1000 SwRunner::step calls allocated");
+}
