@@ -166,6 +166,12 @@ pub struct HwSim {
     selected_scratch: Vec<usize>,
     guard_evals: u64,
     guard_evals_skipped: u64,
+    /// Rules with a lifted guard (the rest are always ready).
+    guarded: u64,
+    /// The last event-driven step selected no rule: every rule is guarded
+    /// and its cached verdict is false. Until the store is written again,
+    /// a step can only skip every guard and fire nothing.
+    idle: bool,
     pub(super) exec: RuleExec,
 }
 
@@ -200,6 +206,7 @@ impl HwSim {
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
         let exec = RuleExec::new(&plans, design, &store);
+        let guarded = plans.iter().filter(|p| p.guard.is_some()).count() as u64;
         Ok(HwSim {
             plans,
             conflicts: ConflictInfo::of_design(design),
@@ -217,6 +224,8 @@ impl HwSim {
             selected_scratch: Vec::new(),
             guard_evals: 0,
             guard_evals_skipped: 0,
+            guarded,
+            idle: false,
             exec,
         })
     }
@@ -227,11 +236,22 @@ impl HwSim {
     }
 
     /// Simulates one clock cycle; returns the number of rules fired.
+    /// Under event-driven scheduling, a cycle that follows one which
+    /// selected no rule costs O(1) until the store is written again.
     ///
     /// # Errors
     ///
     /// Propagates dynamic errors (double write, unsound designs).
     pub fn step(&mut self) -> ExecResult<usize> {
+        if self.idle && self.event_driven && self.store.sched_clean() {
+            // Nothing was written since a step that selected no rule:
+            // every cached verdict is still false, so the full step below
+            // would skip every guard and fire nothing. Count it the same.
+            self.guard_evals_skipped += self.guarded;
+            self.cycles += 1;
+            return Ok(0);
+        }
+        self.idle = false;
         let n = self.plans.len();
         let mut ignored = Cost::default();
         if self.event_driven {
@@ -291,6 +311,7 @@ impl HwSim {
             }
         }
         let fired = self.fire(&selected);
+        self.idle = self.event_driven && selected.is_empty();
         self.selected_scratch = selected;
         let fired_now = fired?;
         self.cycles += 1;
@@ -373,6 +394,7 @@ impl HwSim {
         // verdict is invalidated on the next step; clearing here just keeps
         // the cache honest if introspected before then.
         self.verdicts.fill(None);
+        self.idle = false;
     }
 
     /// Wipes the committed state back to power-on values, as a partition
@@ -381,6 +403,7 @@ impl HwSim {
     pub fn reset_state(&mut self, design: &Design) {
         self.store = Store::new_like(design, self.store.is_flat());
         self.verdicts.fill(None);
+        self.idle = false;
     }
 
     /// A snapshot of simulation statistics.
@@ -530,6 +553,95 @@ mod tests {
         assert_eq!(sim.step().unwrap(), 0);
         let ran = sim.run_until_quiescent(100).unwrap();
         assert_eq!(ran, 1, "one empty probe cycle then stop");
+    }
+
+    /// Drains `pipeline3` fed with `n` items; returns the quiescent sim.
+    fn drained_pipeline3(n: i64) -> HwSim {
+        let d = pipeline3();
+        let mut store = Store::new(&d);
+        for i in 0..n {
+            store.push_source(PrimId(0), Value::int(32, i));
+        }
+        let mut sim = HwSim::with_store(&d, store).unwrap();
+        sim.run_until_quiescent(1000).unwrap();
+        assert!(sim.idle, "a step that selected nothing leaves the sim idle");
+        sim
+    }
+
+    #[test]
+    fn idle_steps_cost_a_flag_check_and_count_like_full_steps() {
+        let mut sim = drained_pipeline3(5);
+        assert_eq!(sim.guarded, 3);
+        let before = sim.report();
+        for _ in 0..1000 {
+            assert_eq!(sim.step().unwrap(), 0);
+        }
+        let after = sim.report();
+        assert_eq!(after.cycles, before.cycles + 1000);
+        assert_eq!(after.guard_evals, before.guard_evals);
+        assert_eq!(
+            after.guard_evals_skipped,
+            before.guard_evals_skipped + 1000 * sim.guarded
+        );
+        assert_eq!(
+            (after.total_fired, after.peak_concurrency),
+            (before.total_fired, before.peak_concurrency)
+        );
+        // Input wakes it on the very next cycle.
+        sim.store.push_source(PrimId(0), Value::int(32, 9));
+        assert_eq!(sim.step().unwrap(), 1);
+        assert!(!sim.idle);
+    }
+
+    #[test]
+    fn restore_and_reset_leave_the_idle_fast_path() {
+        let d = pipeline3();
+        let mut sim = drained_pipeline3(4);
+        let snap = sim.snapshot();
+        sim.step().unwrap();
+        assert!(sim.idle);
+        sim.restore(&snap);
+        assert!(!sim.idle);
+        let evals = sim.report().guard_evals;
+        sim.step().unwrap();
+        assert_eq!(sim.report().guard_evals, evals + 3, "restore re-evaluates");
+        assert!(sim.idle);
+        sim.reset_state(&d);
+        assert!(!sim.idle);
+        sim.step().unwrap();
+        assert_eq!(sim.report().guard_evals, evals + 6, "reset re-evaluates");
+        // Switching to the naive reference evaluates every guard again.
+        sim.event_driven = false;
+        sim.step().unwrap();
+        assert_eq!(sim.report().guard_evals, evals + 9);
+        assert!(!sim.idle);
+    }
+
+    /// The fast path against the full event-driven step as oracle: the
+    /// same input schedule, with the idle flag cleared before every step
+    /// of the oracle, gives identical reports, sinks and states.
+    #[test]
+    fn idle_fast_path_matches_the_full_step() {
+        let d = pipeline3();
+        let run = |fast: bool| {
+            let mut sim = HwSim::with_store(&d, Store::new(&d)).unwrap();
+            let mut fed = 0;
+            for cycle in 0..600u64 {
+                if cycle % 97 < 6 || cycle % 41 == 0 {
+                    sim.store.push_source(PrimId(0), Value::int(32, fed));
+                    fed += 1;
+                }
+                if !fast {
+                    sim.idle = false;
+                }
+                sim.step().unwrap();
+            }
+            (sim.report(), sim.store)
+        };
+        let (fast, oracle) = (run(true), run(false));
+        assert_eq!(fast.0, oracle.0);
+        assert_eq!(fast.1, oracle.1);
+        assert!(fast.0.guard_evals_skipped > 1000, "{:?}", fast.0);
     }
 
     #[test]

@@ -38,6 +38,9 @@ pub use crate::flat::PAGE_WORDS;
 struct DirtyTracker {
     flags: Vec<bool>,
     list: Vec<usize>,
+    /// Bumped by every mark, a repeated one included, and never reset by
+    /// a drain (see [`Store::write_gen`]).
+    gen: u64,
 }
 
 impl DirtyTracker {
@@ -45,6 +48,7 @@ impl DirtyTracker {
         DirtyTracker {
             flags: vec![false; n],
             list: Vec::new(),
+            gen: 0,
         }
     }
 
@@ -52,10 +56,12 @@ impl DirtyTracker {
         DirtyTracker {
             flags: vec![true; n],
             list: (0..n).collect(),
+            gen: 0,
         }
     }
 
     fn mark(&mut self, i: usize) {
+        self.gen += 1;
         if !self.flags[i] {
             self.flags[i] = true;
             self.list.push(i);
@@ -63,6 +69,7 @@ impl DirtyTracker {
     }
 
     fn mark_all(&mut self) {
+        self.gen += 1;
         self.list.clear();
         self.flags.iter_mut().for_each(|f| *f = true);
         self.list.extend(0..self.flags.len());
@@ -1318,6 +1325,22 @@ impl Store {
             self.sched_dirty.flags[*i] = false;
         }
         out.extend(self.sched_dirty.list.drain(..).map(PrimId));
+    }
+
+    /// True when no primitive has been written since the scheduler last
+    /// drained ([`Store::drain_sched_dirty`]).
+    pub(crate) fn sched_clean(&self) -> bool {
+        self.sched_dirty.list.is_empty()
+    }
+
+    /// The write generation: bumped by every mutation of the committed
+    /// state (each time a primitive is marked scheduler-dirty, and by
+    /// every restore) and never reset by a drain. A consumer that does
+    /// not drain the dirty set compares two readings to tell whether
+    /// anything was written in between. A freshly built store starts at
+    /// 0, so readings are comparable only on one store.
+    pub fn write_gen(&self) -> u64 {
+        self.sched_dirty.gen
     }
 
     /// Total words deep-copied by incremental snapshots over this store's
@@ -2608,6 +2631,77 @@ mod tests {
         s.drain_sched_dirty(&mut dirty);
         // Only the written primitive is dirty; the read one is not.
         assert_eq!(dirty, vec![A]);
+    }
+
+    /// Every `&mut self` mutator of the committed state, and a committed
+    /// transaction, bumps the write generation on both backends; reads,
+    /// drains, snapshots and a rolled-back transaction do not.
+    #[test]
+    fn every_mutation_bumps_the_write_generation() {
+        let mut d = design2();
+        d.prims.push(PrimDef {
+            path: "in".into(),
+            spec: PrimSpec::Source {
+                ty: Type::Int(8),
+                domain: "SW".into(),
+            },
+        });
+        let src = PrimId(3);
+        for flat in [false, true] {
+            let mut s = Store::new_like(&d, flat);
+            let bumps = |s: &mut Store, what: &str, f: &mut dyn FnMut(&mut Store)| {
+                let before = s.write_gen();
+                f(s);
+                assert!(s.write_gen() > before, "{what} (flat={flat}) did not bump");
+            };
+            let snap = s.snapshot();
+            let cow = s.snapshot_cow();
+            bumps(&mut s, "call_action_at", &mut |s| {
+                s.call_action_at(Q, PrimMethod::Enq, &[Value::int(8, 3)])
+                    .unwrap();
+            });
+            bumps(&mut s, "fifo_deq", &mut |s| s.fifo_deq(Q).unwrap());
+            bumps(&mut s, "enq_wire", &mut |s| {
+                s.enq_wire(Q, &Type::Int(8), &[7]).unwrap();
+            });
+            bumps(&mut s, "set_state", &mut |s| {
+                s.set_state(A, PrimState::Reg(Value::int(8, 4)));
+            });
+            if !flat {
+                bumps(&mut s, "state_mut", &mut |s| {
+                    s.state_mut(B);
+                });
+            }
+            bumps(&mut s, "push_source", &mut |s| {
+                s.push_source(src, Value::int(8, 1));
+            });
+            bumps(&mut s, "try_push_source", &mut |s| {
+                s.try_push_source(src, Value::int(8, 2)).unwrap();
+            });
+            bumps(&mut s, "committed Txn", &mut |s| {
+                let mut log = TxnLog::new();
+                let mut t = Txn::new(s, &mut log, ShadowPolicy::Partial);
+                t.call_action(B, PrimMethod::RegWrite, &[Value::int(8, 9)])
+                    .unwrap();
+                t.commit();
+            });
+            bumps(&mut s, "restore", &mut |s| s.restore(&snap));
+            bumps(&mut s, "restore_cow", &mut |s| s.restore_cow(&cow));
+
+            let before = s.write_gen();
+            s.drain_sched_dirty(&mut Vec::new());
+            assert!(s.sched_clean());
+            let _ = s.snapshot_cow();
+            let _ = s.call_value_at(A, PrimMethod::RegRead, &[]).unwrap();
+            let _ = (s.fifo_len(Q), s.fifo_front_wire(Q), s.source_pending(src));
+            let mut log = TxnLog::new();
+            let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
+            t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 1)])
+                .unwrap();
+            t.rollback();
+            assert_eq!(s.write_gen(), before, "flat={flat}: a non-mutation bumped");
+            assert!(s.sched_clean());
+        }
     }
 
     #[test]

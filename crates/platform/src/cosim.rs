@@ -40,6 +40,7 @@ use bcl_core::prim::{PrimSpec, PrimState};
 use bcl_core::sched::{HwSim, HwSnapshot, SwOptions, SwRunner, SwSnapshot};
 use bcl_core::store::{Store, StoreSnapshot};
 use bcl_core::value::Value;
+use std::cell::OnceCell;
 
 /// How a co-simulation ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -937,8 +938,10 @@ pub struct Cosim {
     lost_at: Option<u64>,
     /// Fingerprint of the original design + partitioning + domain
     /// order, invariant across failover/revive (see
-    /// [`Cosim::fingerprint`]).
-    fingerprint: u64,
+    /// [`Cosim::fingerprint`]). Computed from `orig_parts` and
+    /// `orig_order` on first use, so a run that never checkpoints never
+    /// pays for it.
+    fingerprint: OnceCell<u64>,
     /// Durable autosave policy, if enabled.
     autosave: Option<CheckpointPolicy>,
     /// Next FPGA cycle at which an autosave is due.
@@ -1207,7 +1210,6 @@ impl Cosim {
             }
         }
         let domains: Vec<String> = active.iter().map(|c| c.domain.clone()).collect();
-        let fingerprint = design_fingerprint(sw_domain, &domains, p);
         let topo = plan_topology(p, sw_domain, &domains, &routing)?;
         let sw = SwRunner::new(&topo.sw_design, sw_opts);
 
@@ -1297,7 +1299,7 @@ impl Cosim {
             retries: 0,
             consecutive_faults: 0,
             lost_at: None,
-            fingerprint,
+            fingerprint: OnceCell::new(),
             autosave: None,
             autosave_next: 0,
         })
@@ -1567,7 +1569,7 @@ impl Cosim {
                 .collect(),
             fpga_cycles: self.fpga_cycles,
             sw_debt: self.sw_debt,
-            fingerprint: self.fingerprint,
+            fingerprint: self.fingerprint(),
         }
     }
 
@@ -1628,7 +1630,9 @@ impl Cosim {
     /// ([`Cosim::resume_from_file`]) while a snapshot from any *other*
     /// design is rejected with [`PersistError::FingerprintMismatch`].
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        *self
+            .fingerprint
+            .get_or_init(|| design_fingerprint(&self.sw_domain, &self.orig_order, &self.orig_parts))
     }
 
     /// Enables durable autosave: every `policy.interval` FPGA cycles
@@ -1687,7 +1691,7 @@ impl Cosim {
             sections.push((SEC_LASTCKPT, last.encode_flat()));
         }
         let mut out = Vec::new();
-        persist::write_container(&mut out, self.fingerprint, &sections)?;
+        persist::write_container(&mut out, self.fingerprint(), &sections)?;
         Ok(out)
     }
 
@@ -1760,9 +1764,9 @@ impl Cosim {
                     .to_string(),
             ));
         }
-        if c.fingerprint != self.fingerprint {
+        if c.fingerprint != self.fingerprint() {
             return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
+                expected: self.fingerprint(),
                 found: c.fingerprint,
             });
         }

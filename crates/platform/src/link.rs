@@ -793,6 +793,19 @@ impl Link {
         out
     }
 
+    /// The earliest delivery cycle among the frames in flight in either
+    /// direction, or `u64::MAX` on an empty wire: [`Link::deliveries`]
+    /// returns nothing before it. O(1), because each direction's queue
+    /// is kept sorted by delivery time and `deliveries` pops from the
+    /// front.
+    pub fn next_due(&self) -> u64 {
+        self.dirs
+            .iter()
+            .filter_map(|d| d.in_flight.front().map(|(t, _)| *t))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Number of messages still in flight in a direction.
     pub fn in_flight(&self, dir: Dir) -> usize {
         self.dirs[dir.idx()].in_flight.len()
@@ -908,6 +921,31 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].channel, 1);
         assert_eq!(d[1].channel, 2);
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_delivery_in_either_direction() {
+        let mut l = Link::with_faults(
+            LinkConfig::default(),
+            FaultConfig::uniform(11, 0.0, 0.0, 0.3, 0.5),
+        );
+        assert_eq!(l.next_due(), u64::MAX, "empty wire");
+        for now in 0..40 {
+            l.send(Dir::SwToHw, msg(0, 3), now);
+            l.send(Dir::HwToSw, msg(0, 1), now * 2);
+        }
+        let mut now = 0;
+        while l.next_due() != u64::MAX {
+            let due = l.next_due();
+            assert!(due >= now, "delivery times only move forward");
+            for t in now..due {
+                assert!(l.deliveries(Dir::SwToHw, t).is_empty());
+                assert!(l.deliveries(Dir::HwToSw, t).is_empty());
+            }
+            let got = l.deliveries(Dir::SwToHw, due).len() + l.deliveries(Dir::HwToSw, due).len();
+            assert!(got > 0, "something is delivered at {due}");
+            now = due + 1;
+        }
     }
 
     #[test]

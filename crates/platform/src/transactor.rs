@@ -364,6 +364,20 @@ pub struct Transactor {
     /// progress (a frame accepted or a cumulative ACK advanced). The
     /// cosim's stall detector watches this.
     progress: u64,
+    /// Left by the last pump if it delivered and sent nothing; `None`
+    /// after any pump that moved a frame, and after a restore or reset.
+    quiet: Option<Quiet>,
+}
+
+/// What a pump that moved nothing saw. Such a pump changes only the
+/// arbitration cursor, and so does every later one until a store is
+/// written, a frame falls due on the link, or a transport timer expires.
+#[derive(Debug, Clone, Copy)]
+struct Quiet {
+    /// Write generations of the software-side and hardware-side stores.
+    gens: (u64, u64),
+    /// The earliest retransmit or delayed-ACK deadline (reliable path).
+    timer_due: u64,
 }
 
 impl Transactor {
@@ -456,6 +470,7 @@ impl Transactor {
             ack_rr: 0,
             stats: TransportStats::default(),
             progress: 0,
+            quiet: None,
         })
     }
 
@@ -507,6 +522,11 @@ impl Transactor {
     /// paper's platform; with faults active it runs the reliable
     /// transport documented at module level.
     ///
+    /// After a pump that delivered and sent nothing, the next one only
+    /// advances the arbitration cursor, in O(1), while neither store has
+    /// been written, no frame is due on the link, and no transport timer
+    /// has expired.
+    ///
     /// # Errors
     ///
     /// Propagates marshaling errors and transport-protocol violations
@@ -520,11 +540,62 @@ impl Transactor {
         link: &mut Link,
         now: u64,
     ) -> ExecResult<u64> {
-        if link.faults_active() {
-            self.pump_reliable(sw_store, hw_store, link, now)
-        } else {
-            self.pump_express(sw_store, hw_store, link, now)
+        let gens = (sw_store.write_gen(), hw_store.write_gen());
+        let due = link.next_due();
+        if self
+            .quiet
+            .is_some_and(|q| q.gens == gens && now < due && now < q.timer_due)
+        {
+            self.advance_rr();
+            return Ok(0);
         }
+        self.quiet = None;
+        let sent = Self::frames_sent(link);
+        let charged = if link.faults_active() {
+            self.pump_reliable(sw_store, hw_store, link, now)?
+        } else {
+            self.pump_express(sw_store, hw_store, link, now)?
+        };
+        if now < due && Self::frames_sent(link) == sent {
+            self.quiet = Some(Quiet {
+                gens: (sw_store.write_gen(), hw_store.write_gen()),
+                timer_due: self.timer_due(link),
+            });
+        }
+        Ok(charged)
+    }
+
+    fn frames_sent(link: &Link) -> u64 {
+        let s = link.stats();
+        s.msgs_to_hw + s.msgs_to_sw
+    }
+
+    fn advance_rr(&mut self) {
+        let n = self.channels.len();
+        if n > 0 {
+            self.rr = (self.rr + 1) % n;
+        }
+    }
+
+    /// The earliest cycle at which a retransmit timer or a delayed pure
+    /// ACK falls due, with the same comparisons as the reliable pump.
+    /// Neither exists on a perfect link.
+    fn timer_due(&self, link: &Link) -> u64 {
+        if !link.faults_active() {
+            return u64::MAX;
+        }
+        let rto_base = Self::rto_base(link);
+        let mut due = u64::MAX;
+        for ch in &self.channels {
+            if !ch.unacked.is_empty() {
+                let rto = if ch.rto == 0 { rto_base } else { ch.rto };
+                due = due.min(ch.oldest_sent_at.saturating_add(rto));
+            }
+            if ch.ack_dirty {
+                due = due.min(ch.last_ack_tx.saturating_add(ACK_DELAY));
+            }
+        }
+        due
     }
 
     /// The original perfect-link pump: bare payloads, omniscient credit
@@ -588,9 +659,7 @@ impl Transactor {
                 ch.sent += 1;
             }
         }
-        if n > 0 {
-            self.rr = (self.rr + 1) % n;
-        }
+        self.advance_rr();
         Ok(sw_cycles)
     }
 
@@ -723,9 +792,7 @@ impl Transactor {
                 );
             }
         }
-        if n > 0 {
-            self.rr = (self.rr + 1) % n;
-        }
+        self.advance_rr();
 
         // Phase 4: pure-ACK frames for receivers whose ACKs found no
         // piggyback ride within ACK_DELAY cycles.
@@ -982,6 +1049,7 @@ impl Transactor {
         self.ack_rr = snap.ack_rr;
         self.stats = snap.stats;
         self.progress = snap.progress;
+        self.quiet = None;
     }
 
     /// Wipes all per-channel transport state back to power-on, as a
@@ -1004,6 +1072,7 @@ impl Transactor {
         }
         self.rr = 0;
         self.ack_rr = 0;
+        self.quiet = None;
     }
 
     /// For the software-failover path: per channel (index-aligned with
@@ -1087,6 +1156,14 @@ impl Transactor {
                 }
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Transactor {
+    /// Drops the quiet record, so the next pump takes the full path.
+    fn forget_quiet(&mut self) {
+        self.quiet = None;
     }
 }
 
@@ -1357,6 +1434,164 @@ mod tests {
         assert_eq!(t.report()[0].messages, delivered_before, "stats survive");
         let d = t.diagnostics(&sw, &hw);
         assert_eq!((d[0].next_seq, d[0].acked, d[0].accepted), (1, 0, 0));
+    }
+
+    /// One channel each way: `a` SW→HW and `b` HW→SW.
+    fn duplex(depth: usize) -> (Design, Design, Vec<ChannelSpec>) {
+        let fifo = |n: &str| PrimDef {
+            path: Path::new(n),
+            spec: PrimSpec::Fifo {
+                depth,
+                ty: Type::Int(32),
+            },
+        };
+        let sw = Design {
+            name: "sw".into(),
+            prims: vec![fifo("a.tx"), fifo("b.rx")],
+            ..Default::default()
+        };
+        let hw = Design {
+            name: "hw".into(),
+            prims: vec![fifo("a.rx"), fifo("b.tx")],
+            ..Default::default()
+        };
+        let spec = |n: &str, from: &str, to: &str| ChannelSpec {
+            name: n.into(),
+            ty: Type::Int(32),
+            depth,
+            from_domain: from.into(),
+            to_domain: to.into(),
+            tx_path: format!("{n}.tx"),
+            rx_path: format!("{n}.rx"),
+        };
+        (sw, hw, vec![spec("a", "SW", "HW"), spec("b", "HW", "SW")])
+    }
+
+    fn snapshot_bytes(t: &Transactor) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        t.snapshot().encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// The quiet-pump fast path against the full pump as oracle: two
+    /// identical systems driven by the same random schedule of tx-FIFO
+    /// enqueues on both sides, rx-FIFO dequeues, and idle gaps, one of
+    /// them forgetting its quiet record before every pump. Every cycle's
+    /// charge, link and transport statistics, and transactor state
+    /// (arbitration cursors included) must agree.
+    #[test]
+    fn quiet_pumps_match_full_pumps() {
+        use crate::link::FaultConfig;
+        let (swd, hwd, specs) = duplex(3);
+        let (a_tx, b_rx) = (swd.prim_id("a.tx").unwrap(), swd.prim_id("b.rx").unwrap());
+        let (a_rx, b_tx) = (hwd.prim_id("a.rx").unwrap(), hwd.prim_id("b.tx").unwrap());
+        for faults in [
+            FaultConfig::none(),
+            FaultConfig::uniform(5, 0.3, 0.1, 0.1, 0.1),
+        ] {
+            let system = || {
+                (
+                    Transactor::new(&specs, "SW", &swd, "HW", &hwd).unwrap(),
+                    Store::new_flat(&swd),
+                    Store::new_flat(&hwd),
+                    Link::with_faults(LinkConfig::default(), faults.clone()),
+                )
+            };
+            let mut fast = system();
+            let mut full = system();
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let (mut gap, mut fed, mut recorded) = (0u64, 0i64, 0u64);
+            for now in 0..6000u64 {
+                if gap > 0 {
+                    gap -= 1;
+                } else {
+                    let r = next();
+                    let act = |s: &mut (Transactor, Store, Store, Link)| match r % 4 {
+                        0 => {
+                            let _ =
+                                s.1.call_action_at(a_tx, PrimMethod::Enq, &[Value::int(32, fed)]);
+                        }
+                        1 => {
+                            let _ =
+                                s.2.call_action_at(b_tx, PrimMethod::Enq, &[Value::int(32, fed)]);
+                        }
+                        2 => {
+                            let _ = s.2.fifo_deq(a_rx);
+                        }
+                        _ => {
+                            let _ = s.1.fifo_deq(b_rx);
+                        }
+                    };
+                    act(&mut fast);
+                    act(&mut full);
+                    fed += 1;
+                    if (r >> 2) % 4 == 0 {
+                        gap = (r >> 8) % 150;
+                    }
+                }
+                if fast.0.quiet.is_some() {
+                    recorded += 1;
+                }
+                full.0.forget_quiet();
+                let (t, sw, hw, link) = &mut fast;
+                let c_fast = t.pump(sw, hw, link, now).unwrap();
+                let (t, sw, hw, link) = &mut full;
+                let c_full = t.pump(sw, hw, link, now).unwrap();
+                assert_eq!(c_fast, c_full, "cycle {now}: charge");
+                assert_eq!(fast.3.stats(), full.3.stats(), "cycle {now}: link stats");
+                assert_eq!(
+                    fast.0.transport_stats(),
+                    full.0.transport_stats(),
+                    "cycle {now}: transport stats"
+                );
+                assert_eq!(
+                    snapshot_bytes(&fast.0),
+                    snapshot_bytes(&full.0),
+                    "cycle {now}: transactor state"
+                );
+                assert!(fast.1 == full.1 && fast.2 == full.2, "cycle {now}: stores");
+            }
+            assert!(
+                recorded > 2000,
+                "a quiet record before only {recorded} pumps"
+            );
+            assert!(fast.0.report().iter().all(|c| c.delivered > 20));
+            if faults.is_active() {
+                assert!(fast.0.report().iter().any(|c| c.retransmits > 0));
+                assert!(fast.0.transport_stats().ack_frames_to_hw > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_and_reset_transport_forget_the_quiet_record() {
+        let (swd, hwd, specs) = duplex(2);
+        let mut t = Transactor::new(&specs, "SW", &swd, "HW", &hwd).unwrap();
+        assert!(t.quiet.is_none(), "a new transactor has no record");
+        let (mut sw, mut hw) = (Store::new(&swd), Store::new(&hwd));
+        let mut link = Link::new(LinkConfig::default());
+        let snap = t.snapshot();
+        t.pump(&mut sw, &mut hw, &mut link, 0).unwrap();
+        assert!(t.quiet.is_some(), "an empty pump leaves a record");
+        t.restore(&snap);
+        assert!(t.quiet.is_none());
+        t.pump(&mut sw, &mut hw, &mut link, 1).unwrap();
+        assert!(t.quiet.is_some());
+        t.reset_transport();
+        assert!(t.quiet.is_none());
+        // A write to either store ends the quiet run.
+        t.pump(&mut sw, &mut hw, &mut link, 2).unwrap();
+        let a_tx = swd.prim_id("a.tx").unwrap();
+        sw.call_action_at(a_tx, PrimMethod::Enq, &[Value::int(32, 1)])
+            .unwrap();
+        assert!(t.pump(&mut sw, &mut hw, &mut link, 3).unwrap() > 0);
+        assert!(t.quiet.is_none(), "a pump that sent leaves no record");
     }
 
     #[test]

@@ -11,15 +11,21 @@
 //! Both designs are word-typed (every value is an `Int(32)`), so every
 //! rule lowers to word closures on the flat store and no boxed `Value`
 //! is ever built.
+//!
+//! An idle co-simulated cycle — an accelerator with nothing to fire and
+//! a transactor with nothing to move — must not touch the heap either.
 
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
+use bcl_core::domain::{HW, SW};
+use bcl_core::partition::partition;
 use bcl_core::program::Program;
 use bcl_core::sched::{ExecBackend, HwSim, Strategy, SwOptions, SwRunner};
 use bcl_core::store::Store;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::xform::ExecMode;
+use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -214,4 +220,51 @@ fn sw_step_allocates_nothing_in_steady_state() {
     );
     assert!(after.1 > before.1, "step must roll back while measured");
     assert_eq!(allocs, 0, "1000 SwRunner::step calls allocated");
+}
+
+/// src(SW) -> toHw -> echo(HW) -> toSw -> snk(SW).
+fn echo_design() -> Design {
+    let mut m = ModuleBuilder::new("Echo");
+    m.source("src", Type::Int(32), SW);
+    m.sink("snk", Type::Int(32), SW);
+    m.channel("toHw", 2, Type::Int(32), SW, HW);
+    m.channel("toSw", 2, Type::Int(32), HW, SW);
+    m.rule("feed", with_first("x", "src", enq("toHw", var("x"))));
+    m.rule("echo", with_first("x", "toHw", enq("toSw", var("x"))));
+    m.rule("drain", with_first("x", "toSw", enq("snk", var("x"))));
+    bcl_core::elaborate(&Program::with_root(m.build())).unwrap()
+}
+
+#[test]
+fn idle_cosim_step_allocates_nothing() {
+    let parts = partition(&echo_design(), SW).unwrap();
+    let mut cs = Cosim::multi(
+        &parts,
+        SW,
+        &[HwPartitionCfg::new(HW).with_compiled(true)],
+        InterHwRouting::ViaHub,
+        ExecBackend::Compiled.sw_options(),
+    )
+    .unwrap();
+    for i in 0..8 {
+        cs.push_source("src", Value::int(32, i));
+    }
+    let out = cs.run_until(|c| c.sink_count("snk") == 8, 100_000).unwrap();
+    assert!(out.is_done(), "{out:?}");
+    for _ in 0..200 {
+        cs.step().unwrap();
+    }
+    let (cycles, evals) = (cs.fpga_cycles, cs.guard_eval_totals().0);
+    let allocs = allocs_during(|| {
+        for _ in 0..1000 {
+            cs.step().unwrap();
+        }
+    });
+    assert_eq!(cs.fpga_cycles, cycles + 1000);
+    assert_eq!(
+        cs.guard_eval_totals().0,
+        evals,
+        "an idle cycle evaluated a guard"
+    );
+    assert_eq!(allocs, 0, "1000 idle Cosim::step calls allocated");
 }
