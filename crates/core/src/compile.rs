@@ -5,11 +5,6 @@
 //! straight from the (already lifted and sequentialized) AST into a tree
 //! of monomorphized Rust closures threaded into a single callable, so
 //! control flow stays structured and no node is dispatched at run time.
-//! Operands flow through machine registers as closure return values,
-//! let-bound locals become pre-resolved slots in a reusable
-//! [`NativeFrame`], `Index`/`Field` on a let-bound base are fused into
-//! direct slot accesses (no base clone), and method-call argument lists
-//! of arity ≤ 2 live on the stack.
 //!
 //! **Cost parity is load-bearing.** Every closure charges exactly the ops
 //! the AST interpreter ([`crate::exec::eval`]/[`crate::exec::exec`])
@@ -20,27 +15,39 @@
 //! interpreter's (the cycle-regression pins and the fuzz farm both assert
 //! this). Only wall-clock time changes.
 //!
-//! Lowering returns `None` for `localGuard` bodies, unelaborated `Named`
-//! targets, and unbound variables; the schedulers run the AST interpreter
-//! for exactly those rules.
-//!
-//! ## Word-level lowering
+//! ## Words and packed regions
 //!
 //! The target is a flat-arena store ([`Store::new_flat`]); tree-backed
-//! stores are not lowered for at all (the schedulers interpret there). A
-//! [`Design`]-derived layout table lets scalar subexpressions flow as
-//! packed `u64` words end-to-end. Word-typed register reads, FIFO heads,
-//! and regfile cells come through
-//! [`Store::call_value_word_at`]/[`Store::call_action_word_at`] without
-//! ever materializing a `Value`; field names and element offsets of
-//! packed aggregates are resolved to bit offsets at lower time; and
-//! `MkVec`/`MkStruct` arguments to `enq`/register writes are packed
-//! directly into frame scratch words instead of building `Vec`/`Struct`
-//! heap values. Guard probes lowered entirely to the word domain return
-//! a bare `u64` verdict. Any expression the word pass cannot prove
-//! chargeable-identically is lowered to a boxed-[`Value`] closure
-//! instead, which charges the same [`Cost`] deltas at the same
-//! evaluation points.
+//! stores are not lowered for at all (the schedulers interpret there).
+//! Every value a lowered closure handles is in the flat store's own
+//! representation, the `write_flat` bit packing:
+//!
+//! - a scalar of width ≤ 64 is a `u64` word returned by its closure;
+//! - any other value is written as packed bits into [`NativeFrame`]
+//!   scratch at a destination bit the caller passes in at run time, so
+//!   an expression is lowered once whatever region it lands in.
+//!
+//! Let-bound aggregates, constructor results, functional updates and
+//! the operands of aggregate `==`/`!=` live in scratch regions reserved
+//! at lower time. Field names and element strides resolve to bit
+//! offsets at lower time. Register reads, FIFO and source heads, and
+//! register-file cells are read in place through
+//! [`Store::call_value_word_at`] and its packed sibling; writes,
+//! enqueues and updates hand over the element's packed bits. The one
+//! [`Value`] a lowered rule builds is the element a sink keeps.
+//!
+//! ## What declines
+//!
+//! Lowering is all-or-nothing per guard and per body: what it cannot
+//! prove charge- and result-identical makes it return `None`, and the
+//! scheduler runs the AST interpreter for that guard or body. That is
+//! `localGuard`, unelaborated `Named` targets, unbound variables, and
+//! shapes the interpreter would reject or reshape at run time: a non-Bool
+//! condition or guard, `Cond` arms or vector elements of unequal layouts,
+//! an empty vector, an update whose new element or field has another
+//! layout, arithmetic on an aggregate, a method the primitive does not
+//! have, a payload whose width is not the primitive's, and an aggregate
+//! constant that does not decode back to itself.
 
 use crate::ast::{Action, Expr, PrimId, PrimMethod, Target};
 use crate::design::Design;
@@ -48,7 +55,7 @@ use crate::error::{ExecError, ExecResult};
 use crate::exec::RuleOutcome;
 use crate::prim::PrimSpec;
 use crate::store::{Cost, ShadowPolicy, Store, Txn, TxnLog};
-use crate::types::{Layout, LayoutKind};
+use crate::types::{FieldLayout, Layout, LayoutKind};
 use crate::value::{
     copy_bits, copy_bits_within, get_bits, mask, put_bits, sign_extend, BinOp, UnOp, Value,
 };
@@ -56,52 +63,45 @@ use crate::xform::RulePlan;
 use std::fmt;
 use std::sync::Arc;
 
-/// Scratch space for compiled rules: the local-slot file. One frame is
-/// kept per scheduler and reused across every guard and body execution;
-/// it grows to the largest program's footprint once and is never cleared
-/// (every slot is stored by its `let` before any load can see it).
+/// Scratch space for compiled rules: one word per let-bound scalar and
+/// one bit-packed region per aggregate, addressed by bit offset. One
+/// frame is kept per scheduler and reused across every guard and body
+/// execution; it grows to the largest program's footprint once and is
+/// never cleared (every word is written before it is read).
 #[derive(Debug, Default)]
 pub struct NativeFrame {
-    slots: Vec<Value>,
-    /// Word scratch: unboxed scalar locals (one word each) and
-    /// bit-packed aggregate regions, addressed by bit offset. Grows like
-    /// `slots` and is likewise never cleared.
     words: Vec<u64>,
 }
 
 impl NativeFrame {
-    /// A fresh frame with no slots.
+    /// A fresh, empty frame.
     pub fn new() -> NativeFrame {
         NativeFrame::default()
     }
 
     #[inline]
     fn ensure(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, Value::Bool(false));
-        }
-    }
-
-    #[inline]
-    fn ensure_words(&mut self, n: usize) {
         if self.words.len() < n {
             self.words.resize(n, 0);
         }
     }
 }
 
-type ExprThunk =
-    Box<dyn for<'s> Fn(&mut NativePort<'s>, &mut NativeFrame) -> ExecResult<Value> + Send + Sync>;
 type ActThunk =
     Box<dyn for<'s> Fn(&mut NativePort<'s>, &mut NativeFrame) -> ExecResult<()> + Send + Sync>;
 type WordThunk =
     Box<dyn for<'s> Fn(&mut NativePort<'s>, &mut NativeFrame) -> ExecResult<u64> + Send + Sync>;
 type PlaceThunk =
     Box<dyn for<'s> Fn(&mut NativePort<'s>, &mut NativeFrame) -> ExecResult<Place> + Send + Sync>;
+/// Writes a value's packed bits into frame scratch at the destination
+/// bit given as the last argument.
+type PackThunk = Box<
+    dyn for<'s> Fn(&mut NativePort<'s>, &mut NativeFrame, usize) -> ExecResult<()> + Send + Sync,
+>;
 
-/// The scalar type of an unboxed word in the flat lowering. Mirrors the
-/// three leaf [`Value`] variants; the packed representation is always
-/// the value's `write_flat` bit pattern in the low `width()` bits.
+/// The scalar type of an unboxed word. Mirrors the three leaf [`Value`]
+/// variants; the word is always the value's `write_flat` bit pattern in
+/// the low `width()` bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WordTy {
     Bool,
@@ -148,40 +148,39 @@ impl WordTy {
         }
     }
 
-    /// Rebuilds the canonical boxed value. Charge-free (scalar `Value`s
-    /// are inline enum variants, no heap).
-    #[inline]
-    fn materialize(self, w: u64) -> Value {
-        match self {
-            WordTy::Bool => Value::Bool(w != 0),
-            WordTy::Bits(wd) => Value::Bits { width: wd, bits: w },
-            WordTy::Int(wd) => Value::Int {
-                width: wd,
-                val: sign_extend(wd, w),
-            },
+    fn layout(self) -> Layout {
+        let kind = match self {
+            WordTy::Bool => LayoutKind::Bool,
+            WordTy::Bits(w) => LayoutKind::Bits(w),
+            WordTy::Int(w) => LayoutKind::Int(w),
+        };
+        Layout {
+            width: self.width(),
+            kind,
         }
     }
 }
 
 /// Lower-time knowledge about one primitive, derived from the
-/// [`Design`]: what word-level methods it supports and the packed
-/// layout of its element type.
+/// [`Design`]: which methods lower and the packed layout of its element.
 struct PrimInfo {
     kind: PrimKindInfo,
-    layout: Layout,
+    layout: Arc<Layout>,
 }
 
-/// The word-relevant primitive kind (mirrors `flat.rs`'s arena mapping:
-/// synchronizers flatten to FIFOs, sources/sinks stay dynamic).
+/// The lowering-relevant primitive kind (mirrors `flat.rs`'s arena
+/// mapping: synchronizers flatten to FIFOs; sources and sinks stay boxed
+/// and are reached through the store's packed entry points).
 #[derive(Clone, Copy)]
 enum PrimKindInfo {
     Reg,
     Fifo,
     RegFile { size: usize },
-    Dyn,
+    Source,
+    Sink,
 }
 
-/// Builds the per-primitive layout table the flat lowering pass keys on.
+/// Builds the per-primitive layout table the lowering keys on.
 fn prim_infos(design: &Design) -> Vec<PrimInfo> {
     design
         .prims
@@ -191,11 +190,12 @@ fn prim_infos(design: &Design) -> Vec<PrimInfo> {
                 PrimSpec::Reg { .. } => PrimKindInfo::Reg,
                 PrimSpec::Fifo { .. } | PrimSpec::Sync { .. } => PrimKindInfo::Fifo,
                 PrimSpec::RegFile { size, .. } => PrimKindInfo::RegFile { size: *size },
-                PrimSpec::Source { .. } | PrimSpec::Sink { .. } => PrimKindInfo::Dyn,
+                PrimSpec::Source { .. } => PrimKindInfo::Source,
+                PrimSpec::Sink { .. } => PrimKindInfo::Sink,
             };
             PrimInfo {
                 kind,
-                layout: Layout::of(&p.spec.value_type()),
+                layout: Arc::new(Layout::of(&p.spec.value_type())),
             }
         })
         .collect()
@@ -254,13 +254,33 @@ fn copy_place_packed(
     }
 }
 
-/// How a let-bound name is stored in the frame: a boxed [`Value`] slot,
-/// an unboxed word, or a bit-packed aggregate region.
+/// Whether two equal-width packed spans of frame scratch hold the same
+/// bits — structural equality of two values of one layout.
+fn bits_eq(words: &[u64], a: usize, b: usize, width: u32) -> bool {
+    let mut done = 0u32;
+    while done < width {
+        let n = (width - done).min(64);
+        let at = done as usize;
+        if get_bits(words, a + at, n) != get_bits(words, b + at, n) {
+            return false;
+        }
+        done += n;
+    }
+    true
+}
+
+/// How a let-bound name is stored in the frame: an unboxed word, or a
+/// bit-packed region holding a value of `layout`.
 #[derive(Clone)]
 enum Binding {
-    Boxed(usize),
     Word { slot: usize, ty: WordTy },
     Packed { base: usize, layout: Arc<Layout> },
+}
+
+/// A lowered expression: a scalar word, or a writer of packed bits.
+enum Lowered {
+    Word(WordThunk, WordTy),
+    Packed(PackThunk, Arc<Layout>),
 }
 
 /// Where a compiled closure reads and writes primitives. A closed enum
@@ -286,6 +306,12 @@ pub(crate) enum NativePort<'s> {
     },
 }
 
+fn action_in_guard(m: PrimMethod) -> ExecError {
+    ExecError::Malformed(format!(
+        "action method `{m:?}` called in a guard expression"
+    ))
+}
+
 impl NativePort<'_> {
     #[inline]
     fn cost(&mut self) -> &mut Cost {
@@ -296,38 +322,9 @@ impl NativePort<'_> {
         }
     }
 
-    #[inline]
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<Value> {
-        match self {
-            NativePort::Txn(t) => t.call_value(id, m, args),
-            NativePort::Ro { store, cost } => {
-                cost.reads += 1;
-                store.call_value_at(id, m, args)
-            }
-            NativePort::InPlace { store, cost } => {
-                cost.reads += 1;
-                store.call_value_at(id, m, args)
-            }
-        }
-    }
-
-    #[inline]
-    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Value]) -> ExecResult<()> {
-        match self {
-            NativePort::Txn(t) => t.call_action(id, m, args),
-            NativePort::Ro { .. } => Err(ExecError::Malformed(format!(
-                "action method `{m:?}` called in a guard expression"
-            ))),
-            NativePort::InPlace { store, cost } => {
-                cost.writes += 1;
-                store.call_action_at(id, m, args)
-            }
-        }
-    }
-
-    /// Charges one read without performing one — used when a word place
-    /// is resolved first and its packed bits are fetched later, so the
-    /// charge lands where the boxed path's `call_value` would put it.
+    /// Charges one read without performing one — used when a place is
+    /// resolved first and its packed bits are fetched later, so the
+    /// charge lands where the interpreter's `call_value` puts it.
     #[inline]
     fn charge_read(&mut self) {
         self.cost().reads += 1;
@@ -375,8 +372,8 @@ impl NativePort<'_> {
         }
     }
 
-    /// Uncharged packed-aggregate read into frame scratch; same charging
-    /// contract as [`Self::peek_word`].
+    /// Uncharged packed read into frame scratch; same charging contract
+    /// as [`Self::peek_word`].
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn peek_packed(
@@ -400,16 +397,27 @@ impl NativePort<'_> {
         }
     }
 
+    /// An argument-free action (`deq`, `clear`): one write charged.
+    #[inline]
+    fn call_action_noarg(&mut self, id: PrimId, m: PrimMethod) -> ExecResult<()> {
+        match self {
+            NativePort::Txn(t) => t.call_action(id, m, &[]),
+            NativePort::Ro { .. } => Err(action_in_guard(m)),
+            NativePort::InPlace { store, cost } => {
+                cost.writes += 1;
+                store.call_action_at(id, m, &[])
+            }
+        }
+    }
+
     /// Word-level `call_action`: one write charged, the payload an
     /// unboxed word. `cell` is signed so regfile index errors keep the
-    /// boxed error order (see [`Store::call_action_word_at`]).
+    /// interpreter's error order (see [`Store::call_action_word_at`]).
     #[inline]
     fn call_action_word(&mut self, id: PrimId, m: PrimMethod, cell: i64, w: u64) -> ExecResult<()> {
         match self {
             NativePort::Txn(t) => t.call_action_word(id, m, cell, w),
-            NativePort::Ro { .. } => Err(ExecError::Malformed(format!(
-                "action method `{m:?}` called in a guard expression"
-            ))),
+            NativePort::Ro { .. } => Err(action_in_guard(m)),
             NativePort::InPlace { store, cost } => {
                 cost.writes += 1;
                 store.call_action_word_at(id, m, cell, w)
@@ -417,7 +425,7 @@ impl NativePort<'_> {
         }
     }
 
-    /// Packed-aggregate `call_action` from frame scratch bits.
+    /// Packed `call_action` from frame scratch bits.
     #[inline]
     fn call_action_packed(
         &mut self,
@@ -429,9 +437,7 @@ impl NativePort<'_> {
     ) -> ExecResult<()> {
         match self {
             NativePort::Txn(t) => t.call_action_packed(id, m, cell, src, src_bit),
-            NativePort::Ro { .. } => Err(ExecError::Malformed(format!(
-                "action method `{m:?}` called in a guard expression"
-            ))),
+            NativePort::Ro { .. } => Err(action_in_guard(m)),
             NativePort::InPlace { store, cost } => {
                 cost.writes += 1;
                 store.call_action_packed_at(id, m, cell, src, src_bit)
@@ -482,26 +488,16 @@ impl NativePort<'_> {
     }
 }
 
-/// An expression (typically a lifted guard) lowered to a native
-/// closure for a flat-arena store (see [`compile_plans`]).
+/// A guard lowered to a closure returning its Bool verdict as a word
+/// (see [`compile_plans`]).
 pub struct CompiledExpr {
-    eval: GuardEval,
-    slots: usize,
+    eval: WordThunk,
     words: usize,
-}
-
-/// A fully word-lowered guard returns a bare `u64` verdict (no `Value`
-/// is ever materialized); anything else is a boxed closure whose
-/// subexpressions may still take the word path internally.
-enum GuardEval {
-    Word(WordThunk),
-    Boxed(ExprThunk),
 }
 
 impl fmt::Debug for CompiledExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledExpr")
-            .field("slots", &self.slots)
             .field("words", &self.words)
             .finish_non_exhaustive()
     }
@@ -510,14 +506,12 @@ impl fmt::Debug for CompiledExpr {
 /// A rule body lowered to a native closure for a flat-arena store.
 pub struct CompiledAction {
     thunk: ActThunk,
-    slots: usize,
     words: usize,
 }
 
 impl fmt::Debug for CompiledAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledAction")
-            .field("slots", &self.slots)
             .field("words", &self.words)
             .finish_non_exhaustive()
     }
@@ -535,22 +529,23 @@ pub struct NativeRule {
 
 /// Compile-time lexical scope: let-bound names resolved to bindings,
 /// plus the frame footprint the lowered closures need and the
-/// per-primitive layout table the word path keys on.
+/// per-primitive layout table the lowering keys on.
 struct Lowerer<'d> {
     scope: Vec<(String, Binding)>,
-    slots: usize,
-    /// Word-scratch footprint, in 64-bit words.
+    /// Scratch footprint, in 64-bit words.
     words: usize,
     prims: &'d [PrimInfo],
+    /// Layouts built so far, reused so equal constructors share one.
+    layouts: Vec<Arc<Layout>>,
 }
 
 impl<'d> Lowerer<'d> {
     fn new(prims: &'d [PrimInfo]) -> Lowerer<'d> {
         Lowerer {
             scope: Vec::new(),
-            slots: 0,
             words: 0,
             prims,
+            layouts: Vec::new(),
         }
     }
 
@@ -566,335 +561,39 @@ impl<'d> Lowerer<'d> {
         self.prims.get(id.0)
     }
 
-    /// Reserves a contiguous word-scratch region for `bits` packed bits
-    /// and returns its base bit offset.
+    /// Reserves a contiguous scratch region for `bits` packed bits and
+    /// returns its base bit offset.
     fn alloc_region(&mut self, bits: u32) -> usize {
         let at = self.words;
         self.words += (bits as usize).div_ceil(64).max(1);
         at * 64
     }
 
-    /// Lowers an expression. Scalar expressions take the word path and
-    /// are rematerialized only at the boxed boundary; evaluation order
-    /// and cost-charge points are identical either way.
-    fn expr(&mut self, e: &Expr) -> Option<ExprThunk> {
-        if let Some((wt, ty)) = self.word_expr(e) {
-            return Some(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?))));
+    /// A shared copy of `l`: an equal layout built earlier, else `l`.
+    fn intern(&mut self, l: Layout) -> Arc<Layout> {
+        if let Some(found) = self.layouts.iter().find(|x| ***x == l) {
+            return Arc::clone(found);
         }
-        self.expr_boxed(e)
+        let l = Arc::new(l);
+        self.layouts.push(Arc::clone(&l));
+        l
     }
 
-    /// The boxed lowering, for expressions the word path declines.
-    /// Evaluation order and cost-charge points mirror the AST
-    /// interpreter node for node.
-    fn expr_boxed(&mut self, e: &Expr) -> Option<ExprThunk> {
+    /// Lowers an expression. Each arm evaluates, charges and fails
+    /// exactly where [`crate::exec::eval`] does, and its word or packed
+    /// bits are the `write_flat` bits of the interpreter's value.
+    fn lower(&mut self, e: &Expr) -> Option<Lowered> {
         Some(match e {
-            Expr::Const(v) => {
-                let v = v.clone();
-                Box::new(move |_, _| Ok(v.clone()))
-            }
+            Expr::Const(v) => return self.constant(v),
             Expr::Var(n) => match self.lookup(n)? {
-                Binding::Boxed(s) => Box::new(move |_, f| Ok(f.slots[s].clone())),
                 Binding::Word { slot, ty } => {
-                    Box::new(move |_, f| Ok(ty.materialize(f.words[slot])))
+                    Lowered::Word(Box::new(move |_, f| Ok(f.words[slot])), ty)
                 }
-                Binding::Packed { base, layout } => {
-                    Box::new(move |_, f| Ok(Value::read_flat(&layout, &f.words, base)))
-                }
+                Binding::Packed { .. } => return self.place_read(e),
             },
             Expr::Un(op, a) => {
-                let a = self.expr(a)?;
-                let op = *op;
-                Box::new(move |p, f| {
-                    let va = a(p, f)?;
-                    p.cost().ops += 1;
-                    Value::un_op(op, &va)
-                })
-            }
-            Expr::Bin(op, a, b) => {
-                let a = self.expr(a)?;
-                let b = self.expr(b)?;
-                let op = *op;
-                let charge = op.cpu_cost();
-                Box::new(move |p, f| {
-                    let va = a(p, f)?;
-                    let vb = b(p, f)?;
-                    p.cost().ops += charge;
-                    Value::bin_op(op, &va, &vb)
-                })
-            }
-            Expr::Cond(c, t, fl) => {
-                let c = self.expr(c)?;
-                let t = self.expr(t)?;
-                let fl = self.expr(fl)?;
-                Box::new(move |p, f| {
-                    let vc = c(p, f)?.as_bool()?;
-                    p.cost().ops += 1;
-                    if vc {
-                        t(p, f)
-                    } else {
-                        fl(p, f)
-                    }
-                })
-            }
-            Expr::When(v, g) => {
-                // The guard is evaluated first, like the interpreter.
-                let v = self.expr(v)?;
-                let g = self.expr(g)?;
-                Box::new(move |p, f| {
-                    let gv = g(p, f)?.as_bool()?;
-                    p.cost().ops += 1;
-                    if gv {
-                        v(p, f)
-                    } else {
-                        Err(ExecError::GuardFail)
-                    }
-                })
-            }
-            Expr::Let(n, v, b) => {
-                let (vt, binding) = self.bind_value(v)?;
-                self.scope.push((n.clone(), binding));
-                let b = self.expr(b);
-                self.scope.pop();
-                let b = b?;
-                Box::new(move |p, f| {
-                    vt(p, f)?;
-                    b(p, f)
-                })
-            }
-            Expr::Call(t, args) => {
-                let (id, m) = prim_target(t)?;
-                return self.call_value(id, m, args);
-            }
-            Expr::Index(v, i) => {
-                // Indexing a let-bound vector is fused into a direct slot
-                // access: the element is copied straight out of the slot
-                // without cloning the vector.
-                // `Var` evaluation is infallible, so hoisting it past the
-                // index expression cannot reorder failures; charged cost
-                // is identical.
-                if let Expr::Var(n) = v.as_ref() {
-                    let i = self.expr(i)?;
-                    match self.lookup(n)? {
-                        Binding::Boxed(s) => Box::new(move |p, f| {
-                            let iv = i(p, f)?.as_index()?;
-                            p.cost().ops += 1;
-                            f.slots[s].index(iv).cloned()
-                        }),
-                        // A word binding is a scalar: indexing it is a
-                        // type error. Materialize for the identical
-                        // error message.
-                        Binding::Word { slot, ty } => Box::new(move |p, f| {
-                            let iv = i(p, f)?.as_index()?;
-                            p.cost().ops += 1;
-                            ty.materialize(f.words[slot]).index(iv).cloned()
-                        }),
-                        Binding::Packed { base, layout } => match layout.kind.clone() {
-                            LayoutKind::Vector { len, stride, elem } => Box::new(move |p, f| {
-                                let iv = i(p, f)?.as_index()?;
-                                p.cost().ops += 1;
-                                if iv >= len {
-                                    return Err(ExecError::Bounds(format!(
-                                        "index {iv} out of {len}"
-                                    )));
-                                }
-                                Ok(Value::read_flat(
-                                    &elem,
-                                    &f.words,
-                                    base + iv * stride as usize,
-                                ))
-                            }),
-                            _ => Box::new(move |p, f| {
-                                let iv = i(p, f)?.as_index()?;
-                                p.cost().ops += 1;
-                                Value::read_flat(&layout, &f.words, base).index(iv).cloned()
-                            }),
-                        },
-                    }
-                } else {
-                    let v = self.expr(v)?;
-                    let i = self.expr(i)?;
-                    Box::new(move |p, f| {
-                        let vv = v(p, f)?;
-                        let iv = i(p, f)?.as_index()?;
-                        p.cost().ops += 1;
-                        vv.index(iv).cloned()
-                    })
-                }
-            }
-            Expr::Field(v, name) => {
-                // Field of a let-bound struct: fused the same way.
-                if let Expr::Var(n) = v.as_ref() {
-                    let name = name.clone();
-                    match self.lookup(n)? {
-                        Binding::Boxed(s) => Box::new(move |p, f| {
-                            p.cost().ops += 1;
-                            f.slots[s].field(&name).cloned()
-                        }),
-                        Binding::Word { slot, ty } => Box::new(move |p, f| {
-                            p.cost().ops += 1;
-                            ty.materialize(f.words[slot]).field(&name).cloned()
-                        }),
-                        Binding::Packed { base, layout } => {
-                            // Field offsets resolve at lower time; a
-                            // missing field materializes for the boxed
-                            // error message.
-                            let found = match &layout.kind {
-                                LayoutKind::Struct { fields } => fields
-                                    .iter()
-                                    .find(|fl| fl.name == name)
-                                    .map(|fl| (fl.offset as usize, fl.layout.clone())),
-                                _ => None,
-                            };
-                            match found {
-                                Some((foff, flay)) => Box::new(move |p, f| {
-                                    p.cost().ops += 1;
-                                    Ok(Value::read_flat(&flay, &f.words, base + foff))
-                                }),
-                                None => Box::new(move |p, f| {
-                                    p.cost().ops += 1;
-                                    Value::read_flat(&layout, &f.words, base)
-                                        .field(&name)
-                                        .cloned()
-                                }),
-                            }
-                        }
-                    }
-                } else {
-                    let v = self.expr(v)?;
-                    let name = name.clone();
-                    Box::new(move |p, f| {
-                        let vv = v(p, f)?;
-                        p.cost().ops += 1;
-                        vv.field(&name).cloned()
-                    })
-                }
-            }
-            Expr::MkVec(es) => {
-                let ts = self.exprs(es)?;
-                let n = ts.len() as u64;
-                Box::new(move |p, f| {
-                    let mut out = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        out.push(t(p, f)?);
-                    }
-                    p.cost().ops += n;
-                    Ok(Value::Vec(out))
-                })
-            }
-            Expr::MkStruct(fs) => {
-                let names: Vec<String> = fs.iter().map(|(n, _)| n.clone()).collect();
-                let ts = self.exprs(&fs.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>())?;
-                let n = ts.len() as u64;
-                Box::new(move |p, f| {
-                    let mut out = Vec::with_capacity(ts.len());
-                    for (name, t) in names.iter().zip(&ts) {
-                        out.push((name.clone(), t(p, f)?));
-                    }
-                    p.cost().ops += n;
-                    Ok(Value::Struct(out))
-                })
-            }
-            Expr::UpdateIndex(v, i, x) => {
-                let v = self.expr(v)?;
-                let i = self.expr(i)?;
-                let x = self.expr(x)?;
-                Box::new(move |p, f| {
-                    let vv = v(p, f)?;
-                    let iv = i(p, f)?.as_index()?;
-                    let xv = x(p, f)?;
-                    // Functional update costs a copy of the vector.
-                    p.cost().ops += vv.as_vec().map(|s| s.len() as u64).unwrap_or(1);
-                    vv.update_index(iv, xv)
-                })
-            }
-            Expr::UpdateField(v, name, x) => {
-                let v = self.expr(v)?;
-                let x = self.expr(x)?;
-                let name = name.clone();
-                Box::new(move |p, f| {
-                    let vv = v(p, f)?;
-                    let xv = x(p, f)?;
-                    p.cost().ops += 1;
-                    vv.update_field(&name, xv)
-                })
-            }
-        })
-    }
-
-    fn exprs(&mut self, es: &[Expr]) -> Option<Vec<ExprThunk>> {
-        es.iter().map(|e| self.expr(e)).collect()
-    }
-
-    /// Lowers a let-bound value to the cheapest binding it supports:
-    /// an unboxed word, a packed aggregate region (copied bitwise from
-    /// its place, no `Value` built), or a boxed slot. The returned
-    /// thunk performs the store; charges are exactly the value
-    /// expression's own (the slot store itself is free, as in the
-    /// interpreter).
-    fn bind_value(&mut self, v: &Expr) -> Option<(ActThunk, Binding)> {
-        if let Some((wt, ty)) = self.word_expr(v) {
-            let slot = self.words;
-            self.words += 1;
-            let t: ActThunk = Box::new(move |p, f| {
-                f.words[slot] = wt(p, f)?;
-                Ok(())
-            });
-            return Some((t, Binding::Word { slot, ty }));
-        }
-        if let Some((pt, lay)) = self.agg_place(v) {
-            if matches!(
-                lay.kind,
-                LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
-            ) {
-                let base = self.alloc_region(lay.width);
-                let width = lay.width;
-                let t: ActThunk = Box::new(move |p, f| {
-                    let pl = pt(p, f)?;
-                    copy_place_packed(p, f, pl, width, base)
-                });
-                return Some((
-                    t,
-                    Binding::Packed {
-                        base,
-                        layout: Arc::new(lay),
-                    },
-                ));
-            }
-        }
-        let v = self.expr(v)?;
-        let slot = self.slots;
-        self.slots += 1;
-        let t: ActThunk = Box::new(move |p, f| {
-            f.slots[slot] = v(p, f)?;
-            Ok(())
-        });
-        Some((t, Binding::Boxed(slot)))
-    }
-
-    /// Lowers a scalar expression to an unboxed-word closure, or `None`
-    /// when the expression (or its type) is not provably word-safe —
-    /// the caller then uses the boxed lowering, which charges
-    /// identically.
-    ///
-    /// Every arm's packed result equals the `write_flat` bits of the
-    /// boxed value the interpreter would produce, and every charge
-    /// lands at the same point ([`Value::bin_op`]'s division errors
-    /// included).
-    fn word_expr(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
-        Some(match e {
-            Expr::Const(v) => {
-                let (ty, w) = WordTy::of_value(v)?;
-                (Box::new(move |_, _| Ok(w)), ty)
-            }
-            Expr::Var(n) => match self.lookup(n)? {
-                Binding::Word { slot, ty } => (Box::new(move |_, f| Ok(f.words[slot])), ty),
-                _ => return None,
-            },
-            Expr::Un(op, a) => {
-                let (at, aty) = self.word_expr(a)?;
-                let wd = aty.width();
-                let m = mask(wd);
+                let (at, aty) = self.word(a)?;
+                let m = mask(aty.width());
                 let apply: fn(u64, u64) -> u64 = match (*op, aty) {
                     (UnOp::Not, WordTy::Bool) => |w, _| w ^ 1,
                     (UnOp::Neg, WordTy::Int(_)) | (UnOp::Neg, WordTy::Bits(_)) => {
@@ -903,7 +602,7 @@ impl<'d> Lowerer<'d> {
                     (UnOp::Inv, WordTy::Int(_)) | (UnOp::Inv, WordTy::Bits(_)) => |w, m| !w & m,
                     _ => return None,
                 };
-                (
+                Lowered::Word(
                     Box::new(move |p, f| {
                         let w = at(p, f)?;
                         p.cost().ops += 1;
@@ -912,204 +611,438 @@ impl<'d> Lowerer<'d> {
                     aty,
                 )
             }
-            Expr::Bin(op, a, b) => {
-                let (at, aty) = self.word_expr(a)?;
-                let (bt, bty) = self.word_expr(b)?;
-                let op = *op;
-                let charge = op.cpu_cost();
-                // Boolean logic stays in the 1-bit domain (mirrors the
-                // `(Bool, Bool)` branch of `Value::bin_op`).
-                if (aty, bty) == (WordTy::Bool, WordTy::Bool) {
-                    let apply: fn(u64, u64) -> u64 = match op {
-                        BinOp::And => |x, y| x & y,
-                        BinOp::Or => |x, y| x | y,
-                        BinOp::Xor | BinOp::Ne => |x, y| x ^ y,
-                        BinOp::Eq => |x, y| (x == y) as u64,
-                        _ => return None,
-                    };
-                    return Some((
-                        Box::new(move |p, f| {
-                            let x = at(p, f)?;
-                            let y = bt(p, f)?;
-                            p.cost().ops += charge;
-                            Ok(apply(x, y))
-                        }),
-                        WordTy::Bool,
-                    ));
-                }
-                if op.is_comparison() {
-                    return Some((
-                        Box::new(move |p, f| {
-                            let x = aty.view_int(at(p, f)?);
-                            let y = bty.view_int(bt(p, f)?);
-                            p.cost().ops += charge;
-                            let r = match op {
-                                BinOp::Eq => x == y,
-                                BinOp::Ne => x != y,
-                                BinOp::Lt => x < y,
-                                BinOp::Le => x <= y,
-                                BinOp::Gt => x > y,
-                                BinOp::Ge => x >= y,
-                                _ => unreachable!(),
-                            };
-                            Ok(r as u64)
-                        }),
-                        WordTy::Bool,
-                    ));
-                }
-                // Arithmetic wraps at the left operand's width; a Bool
-                // left operand promotes to Int(64), like `as_int`.
-                let (width, rty) = match aty {
-                    WordTy::Bool => (64, WordTy::Int(64)),
-                    WordTy::Bits(w) => (w, WordTy::Bits(w)),
-                    WordTy::Int(w) => (w, WordTy::Int(w)),
-                };
-                let m = mask(width);
-                (
-                    Box::new(move |p, f| {
-                        let x = aty.view_int(at(p, f)?);
-                        let y = bty.view_int(bt(p, f)?);
-                        p.cost().ops += charge;
-                        let r: i64 = match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::FixMul(fx) => (((x as i128) * (y as i128)) >> fx) as i64,
-                            BinOp::FixDiv(fx) => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed(
-                                        "fixed-point division by zero".into(),
-                                    ));
-                                }
-                                (((x as i128) << fx) / (y as i128)) as i64
-                            }
-                            BinOp::Div => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed("division by zero".into()));
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::Rem => {
-                                if y == 0 {
-                                    return Err(ExecError::Malformed("remainder by zero".into()));
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Xor => x ^ y,
-                            BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-                            BinOp::Shr => x.wrapping_shr(y as u32 & 63),
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                            _ => unreachable!(),
-                        };
-                        Ok((r as u64) & m)
-                    }),
-                    rty,
-                )
-            }
+            Expr::Bin(op, a, b) => return self.binary(*op, a, b),
             Expr::Cond(c, t, fl) => {
-                let (ct, cty) = self.word_expr(c)?;
-                if cty != WordTy::Bool {
-                    return None;
+                let c = self.cond(c)?;
+                match (self.lower(t)?, self.lower(fl)?) {
+                    (Lowered::Word(t, tty), Lowered::Word(fl, fty)) if tty == fty => Lowered::Word(
+                        Box::new(move |p, f| {
+                            let vc = c(p, f)? != 0;
+                            p.cost().ops += 1;
+                            if vc {
+                                t(p, f)
+                            } else {
+                                fl(p, f)
+                            }
+                        }),
+                        tty,
+                    ),
+                    (Lowered::Packed(t, tl), Lowered::Packed(fl, fll)) if tl == fll => {
+                        Lowered::Packed(
+                            Box::new(move |p, f, dst| {
+                                let vc = c(p, f)? != 0;
+                                p.cost().ops += 1;
+                                if vc {
+                                    t(p, f, dst)
+                                } else {
+                                    fl(p, f, dst)
+                                }
+                            }),
+                            tl,
+                        )
+                    }
+                    _ => return None,
                 }
-                let (tt, tty) = self.word_expr(t)?;
-                let (ft, fty) = self.word_expr(fl)?;
-                if tty != fty {
-                    return None;
-                }
-                (
-                    Box::new(move |p, f| {
-                        let vc = ct(p, f)? != 0;
-                        p.cost().ops += 1;
-                        if vc {
-                            tt(p, f)
-                        } else {
-                            ft(p, f)
-                        }
-                    }),
-                    tty,
-                )
             }
             Expr::When(v, g) => {
-                let (vt, vty) = self.word_expr(v)?;
-                let (gt, gty) = self.word_expr(g)?;
-                if gty != WordTy::Bool {
-                    return None;
-                }
-                (
-                    Box::new(move |p, f| {
-                        let gv = gt(p, f)? != 0;
-                        p.cost().ops += 1;
-                        if gv {
-                            vt(p, f)
-                        } else {
-                            Err(ExecError::GuardFail)
-                        }
-                    }),
-                    vty,
-                )
+                // The guard is evaluated first, like the interpreter.
+                let g = self.cond(g)?;
+                let check: ActThunk = Box::new(move |p, f| {
+                    let gv = g(p, f)? != 0;
+                    p.cost().ops += 1;
+                    if gv {
+                        Ok(())
+                    } else {
+                        Err(ExecError::GuardFail)
+                    }
+                });
+                then(check, self.lower(v)?)
             }
             Expr::Let(n, v, b) => {
                 let (vt, binding) = self.bind_value(v)?;
                 self.scope.push((n.clone(), binding));
-                let b = self.word_expr(b);
+                let b = self.lower(b);
                 self.scope.pop();
-                let (bt, bty) = b?;
-                (
-                    Box::new(move |p, f| {
-                        vt(p, f)?;
-                        bt(p, f)
-                    }),
-                    bty,
-                )
+                then(vt, b?)
             }
             Expr::Call(t, args) => {
                 let (id, m) = prim_target(t)?;
-                // FIFO occupancy probes are 1-bit words already.
-                if matches!(m, PrimMethod::NotEmpty | PrimMethod::NotFull)
-                    && args.is_empty()
-                    && matches!(self.info(id)?.kind, PrimKindInfo::Fifo)
-                {
-                    return Some((
+                let probe = matches!(
+                    (self.info(id)?.kind, m),
+                    (
+                        PrimKindInfo::Fifo,
+                        PrimMethod::NotEmpty | PrimMethod::NotFull
+                    ) | (PrimKindInfo::Source, PrimMethod::NotEmpty)
+                        | (PrimKindInfo::Sink, PrimMethod::NotFull)
+                );
+                if probe && args.is_empty() {
+                    // Occupancy probes are 1-bit words already.
+                    return Some(Lowered::Word(
                         Box::new(move |p, _| p.call_value_word(id, m, 0, 0, 1)),
                         WordTy::Bool,
                     ));
                 }
-                return self.word_leaf(e);
+                return self.place_read(e);
             }
-            Expr::Field(..) | Expr::Index(..) => return self.word_leaf(e),
-            _ => return None,
+            Expr::Field(..) | Expr::Index(..) => return self.place_read(e),
+            Expr::MkVec(es) => {
+                let mut parts = Vec::with_capacity(es.len());
+                let mut elem: Option<Arc<Layout>> = None;
+                for el in es {
+                    let (t, l) = self.pack(el)?;
+                    if elem.as_ref().is_some_and(|x| *x != l) {
+                        return None;
+                    }
+                    elem.get_or_insert(l);
+                    parts.push(t);
+                }
+                let elem = elem?;
+                let (len, stride) = (es.len(), elem.width);
+                let layout = self.intern(Layout {
+                    width: len as u32 * stride,
+                    kind: LayoutKind::Vector { len, stride, elem },
+                });
+                Lowered::Packed(
+                    Box::new(move |p, f, dst| {
+                        for (k, t) in parts.iter().enumerate() {
+                            t(p, f, dst + k * stride as usize)?;
+                        }
+                        p.cost().ops += len as u64;
+                        Ok(())
+                    }),
+                    layout,
+                )
+            }
+            Expr::MkStruct(fs) => {
+                let mut parts = Vec::with_capacity(fs.len());
+                let mut fields = Vec::with_capacity(fs.len());
+                let mut offset = 0u32;
+                for (name, el) in fs {
+                    let (t, layout) = self.pack(el)?;
+                    parts.push((offset as usize, t));
+                    let width = layout.width;
+                    fields.push(FieldLayout {
+                        name: name.clone(),
+                        offset,
+                        layout,
+                    });
+                    offset += width;
+                }
+                let n = fs.len() as u64;
+                let layout = self.intern(Layout {
+                    width: offset,
+                    kind: LayoutKind::Struct { fields },
+                });
+                Lowered::Packed(
+                    Box::new(move |p, f, dst| {
+                        for (off, t) in &parts {
+                            t(p, f, dst + off)?;
+                        }
+                        p.cost().ops += n;
+                        Ok(())
+                    }),
+                    layout,
+                )
+            }
+            Expr::UpdateIndex(v, i, x) => {
+                let (vt, layout) = self.pack(v)?;
+                let LayoutKind::Vector { len, stride, elem } = &layout.kind else {
+                    return None;
+                };
+                let (len, stride, elem) = (*len, *stride as usize, Arc::clone(elem));
+                let (it, ity) = self.word(i)?;
+                let (xt, xl) = self.pack(x)?;
+                if xl != elem {
+                    return None;
+                }
+                // An out-of-range new element is still evaluated and
+                // charged before the bounds error; it lands here.
+                let spare = self.alloc_region(elem.width);
+                Lowered::Packed(
+                    Box::new(move |p, f, dst| {
+                        vt(p, f, dst)?;
+                        let iv = ity.view_int(it(p, f)?);
+                        let idx = index(iv)?;
+                        xt(p, f, if idx < len { dst + idx * stride } else { spare })?;
+                        // Functional update costs a copy of the vector.
+                        p.cost().ops += len as u64;
+                        if idx >= len {
+                            return Err(ExecError::Bounds(format!("index {idx} out of {len}")));
+                        }
+                        Ok(())
+                    }),
+                    layout,
+                )
+            }
+            Expr::UpdateField(v, name, x) => {
+                let (vt, layout) = self.pack(v)?;
+                let LayoutKind::Struct { fields } = &layout.kind else {
+                    return None;
+                };
+                let fl = fields.iter().find(|fl| &fl.name == name)?;
+                let (foff, flay) = (fl.offset as usize, Arc::clone(&fl.layout));
+                let (xt, xl) = self.pack(x)?;
+                if xl != flay {
+                    return None;
+                }
+                Lowered::Packed(
+                    Box::new(move |p, f, dst| {
+                        vt(p, f, dst)?;
+                        xt(p, f, dst + foff)?;
+                        p.cost().ops += 1;
+                        Ok(())
+                    }),
+                    layout,
+                )
+            }
         })
     }
 
-    /// A scalar leaf read out of a resolved packed place: the place
-    /// chain carries all charges, the final bit extraction is free
-    /// (the boxed path's `call_value`/`field`/`index` have already
-    /// been accounted by [`Lowerer::agg_place`]).
-    fn word_leaf(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
-        let (pt, lay) = self.agg_place(e)?;
-        let ty = WordTy::of_layout(&lay)?;
-        let width = ty.width();
-        Some((
-            Box::new(move |p, f| {
-                let pl = pt(p, f)?;
-                read_place_word(p, f, pl, width)
+    /// A scalar expression's word closure; `None` for anything else.
+    fn word(&mut self, e: &Expr) -> Option<(WordThunk, WordTy)> {
+        match self.lower(e)? {
+            Lowered::Word(t, ty) => Some((t, ty)),
+            Lowered::Packed(..) => None,
+        }
+    }
+
+    /// A Bool-typed condition or guard.
+    fn cond(&mut self, e: &Expr) -> Option<WordThunk> {
+        match self.word(e)? {
+            (t, WordTy::Bool) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Any expression as a writer of its packed bits, with its layout.
+    fn pack(&mut self, e: &Expr) -> Option<(PackThunk, Arc<Layout>)> {
+        Some(match self.lower(e)? {
+            Lowered::Packed(t, l) => (t, l),
+            Lowered::Word(t, ty) => {
+                let width = ty.width();
+                (
+                    Box::new(move |p, f, dst| {
+                        let w = t(p, f)?;
+                        put_bits(&mut f.words, dst, width, w);
+                        Ok(())
+                    }),
+                    self.intern(ty.layout()),
+                )
+            }
+        })
+    }
+
+    /// A constant: scalars are immediate words, aggregates pre-pack at
+    /// lower time.
+    fn constant(&mut self, v: &Value) -> Option<Lowered> {
+        if let Some((ty, w)) = WordTy::of_value(v) {
+            return Some(Lowered::Word(Box::new(move |_, _| Ok(w)), ty));
+        }
+        let layout = Layout::of(&v.type_of());
+        let mut ws = vec![0u64; layout.words64()];
+        // A heterogeneous vector or a non-canonical scalar inside does
+        // not survive its own layout; the interpreter keeps those.
+        if v.write_flat(&mut ws, 0) != layout.width as usize
+            || Value::read_flat(&layout, &ws, 0) != *v
+        {
+            return None;
+        }
+        let width = layout.width;
+        Some(Lowered::Packed(
+            Box::new(move |_, f, dst| {
+                copy_bits(&ws, 0, &mut f.words, dst, width);
+                Ok(())
             }),
-            ty,
+            self.intern(layout),
         ))
     }
 
-    /// Resolves an aggregate-access chain (`prim.read()`, `.field`,
-    /// `[index]`) to a packed [`Place`] without materializing any
-    /// intermediate `Value`. Field offsets fold at lower time; element
-    /// strides multiply a runtime index. The place thunk carges exactly
-    /// what the boxed chain charges, in the same order: the port read
-    /// first (including the FIFO-empty guard failure, so later
-    /// field/index ops are not charged on the failing path), then one
-    /// op per field/index step.
-    fn agg_place(&mut self, e: &Expr) -> Option<(PlaceThunk, Layout)> {
+    /// Binary operators: scalar arithmetic and comparisons on words
+    /// (mirroring [`Value::bin_op`], division errors included), and
+    /// `==`/`!=` on two aggregates of one layout as a bit comparison of
+    /// their packed regions.
+    fn binary(&mut self, op: BinOp, a: &Expr, b: &Expr) -> Option<Lowered> {
+        let charge = op.cpu_cost();
+        let (at, aty, bt, bty) = match (self.lower(a)?, self.lower(b)?) {
+            (Lowered::Word(at, aty), Lowered::Word(bt, bty)) => (at, aty, bt, bty),
+            (Lowered::Packed(at, al), Lowered::Packed(bt, bl))
+                if al == bl
+                    && matches!(op, BinOp::Eq | BinOp::Ne)
+                    && matches!(
+                        al.kind,
+                        LayoutKind::Vector { .. } | LayoutKind::Struct { .. }
+                    ) =>
+            {
+                let width = al.width;
+                let (ra, rb) = (self.alloc_region(width), self.alloc_region(width));
+                let ne = op == BinOp::Ne;
+                return Some(Lowered::Word(
+                    Box::new(move |p, f| {
+                        at(p, f, ra)?;
+                        bt(p, f, rb)?;
+                        p.cost().ops += charge;
+                        Ok((bits_eq(&f.words, ra, rb, width) != ne) as u64)
+                    }),
+                    WordTy::Bool,
+                ));
+            }
+            _ => return None,
+        };
+        // Boolean logic stays in the 1-bit domain (mirrors the
+        // `(Bool, Bool)` branch of `Value::bin_op`).
+        if (aty, bty) == (WordTy::Bool, WordTy::Bool) {
+            let apply: fn(u64, u64) -> u64 = match op {
+                BinOp::And => |x, y| x & y,
+                BinOp::Or => |x, y| x | y,
+                BinOp::Xor | BinOp::Ne => |x, y| x ^ y,
+                BinOp::Eq => |x, y| (x == y) as u64,
+                _ => return None,
+            };
+            return Some(Lowered::Word(
+                Box::new(move |p, f| {
+                    let x = at(p, f)?;
+                    let y = bt(p, f)?;
+                    p.cost().ops += charge;
+                    Ok(apply(x, y))
+                }),
+                WordTy::Bool,
+            ));
+        }
+        if op.is_comparison() {
+            return Some(Lowered::Word(
+                Box::new(move |p, f| {
+                    let x = aty.view_int(at(p, f)?);
+                    let y = bty.view_int(bt(p, f)?);
+                    p.cost().ops += charge;
+                    let r = match op {
+                        BinOp::Eq => x == y,
+                        BinOp::Ne => x != y,
+                        BinOp::Lt => x < y,
+                        BinOp::Le => x <= y,
+                        BinOp::Gt => x > y,
+                        BinOp::Ge => x >= y,
+                        _ => unreachable!(),
+                    };
+                    Ok(r as u64)
+                }),
+                WordTy::Bool,
+            ));
+        }
+        // Arithmetic wraps at the left operand's width; a Bool left
+        // operand promotes to Int(64), like `as_int`.
+        let (width, rty) = match aty {
+            WordTy::Bool => (64, WordTy::Int(64)),
+            WordTy::Bits(w) => (w, WordTy::Bits(w)),
+            WordTy::Int(w) => (w, WordTy::Int(w)),
+        };
+        let m = mask(width);
+        Some(Lowered::Word(
+            Box::new(move |p, f| {
+                let x = aty.view_int(at(p, f)?);
+                let y = bty.view_int(bt(p, f)?);
+                p.cost().ops += charge;
+                let r: i64 = match op {
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
+                    BinOp::FixMul(fx) => (((x as i128) * (y as i128)) >> fx) as i64,
+                    BinOp::FixDiv(fx) => {
+                        if y == 0 {
+                            return Err(ExecError::Malformed(
+                                "fixed-point division by zero".into(),
+                            ));
+                        }
+                        (((x as i128) << fx) / (y as i128)) as i64
+                    }
+                    BinOp::Div => {
+                        if y == 0 {
+                            return Err(ExecError::Malformed("division by zero".into()));
+                        }
+                        x.wrapping_div(y)
+                    }
+                    BinOp::Rem => {
+                        if y == 0 {
+                            return Err(ExecError::Malformed("remainder by zero".into()));
+                        }
+                        x.wrapping_rem(y)
+                    }
+                    BinOp::And => x & y,
+                    BinOp::Or => x | y,
+                    BinOp::Xor => x ^ y,
+                    BinOp::Shl => x.wrapping_shl(y as u32 & 63),
+                    BinOp::Shr => x.wrapping_shr(y as u32 & 63),
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                    _ => unreachable!(),
+                };
+                Ok((r as u64) & m)
+            }),
+            rty,
+        ))
+    }
+
+    /// Lowers a let-bound value to an unboxed word slot or a packed
+    /// region. The returned thunk performs the store; charges are
+    /// exactly the value expression's own (the store itself is free, as
+    /// in the interpreter).
+    fn bind_value(&mut self, v: &Expr) -> Option<(ActThunk, Binding)> {
+        Some(match self.lower(v)? {
+            Lowered::Word(wt, ty) => {
+                let slot = self.words;
+                self.words += 1;
+                let t: ActThunk = Box::new(move |p, f| {
+                    f.words[slot] = wt(p, f)?;
+                    Ok(())
+                });
+                (t, Binding::Word { slot, ty })
+            }
+            Lowered::Packed(pt, layout) => {
+                let base = self.alloc_region(layout.width);
+                (
+                    Box::new(move |p, f| pt(p, f, base)),
+                    Binding::Packed { base, layout },
+                )
+            }
+        })
+    }
+
+    /// Reads the value at an access chain: a word for a scalar leaf, a
+    /// packed copy otherwise. The place chain carries every charge.
+    fn place_read(&mut self, e: &Expr) -> Option<Lowered> {
+        let (pt, layout) = self.agg_place(e)?;
+        Some(match WordTy::of_layout(&layout) {
+            Some(ty) => {
+                let width = ty.width();
+                Lowered::Word(
+                    Box::new(move |p, f| {
+                        let pl = pt(p, f)?;
+                        read_place_word(p, f, pl, width)
+                    }),
+                    ty,
+                )
+            }
+            None => {
+                let width = layout.width;
+                Lowered::Packed(
+                    Box::new(move |p, f, dst| {
+                        let pl = pt(p, f)?;
+                        copy_place_packed(p, f, pl, width, dst)
+                    }),
+                    layout,
+                )
+            }
+        })
+    }
+
+    /// Resolves an access chain (a let-bound aggregate, `prim.read()`,
+    /// `.field`, `[index]`) to a packed [`Place`] without copying any
+    /// intermediate value. Field offsets fold at lower time; element
+    /// strides multiply a runtime index. The place thunk charges exactly
+    /// what the interpreter charges, in the same order: the port read
+    /// first (including the empty-FIFO guard failure, so later field and
+    /// index ops are not charged on the failing path), then one op per
+    /// field or index step.
+    fn agg_place(&mut self, e: &Expr) -> Option<(PlaceThunk, Arc<Layout>)> {
         match e {
             Expr::Var(n) => match self.lookup(n)? {
                 Binding::Packed { base, layout } => Some((
@@ -1119,68 +1052,49 @@ impl<'d> Lowerer<'d> {
                             off: 0,
                         })
                     }),
-                    (*layout).clone(),
+                    layout,
                 )),
-                _ => None,
+                Binding::Word { .. } => None,
             },
             Expr::Call(t, args) => {
                 let (id, m) = prim_target(t)?;
                 let info = self.info(id)?;
+                let layout = Arc::clone(&info.layout);
+                let at = move |cell| Place {
+                    kind: PlaceKind::Prim { id, m, cell },
+                    off: 0,
+                };
                 match (info.kind, m, args.as_slice()) {
                     (PrimKindInfo::Reg, PrimMethod::RegRead, []) => Some((
                         Box::new(move |p, _| {
                             p.charge_read();
-                            Ok(Place {
-                                kind: PlaceKind::Prim {
-                                    id,
-                                    m: PrimMethod::RegRead,
-                                    cell: 0,
-                                },
-                                off: 0,
-                            })
+                            Ok(at(0))
                         }),
-                        info.layout.clone(),
+                        layout,
                     )),
-                    (PrimKindInfo::Fifo, PrimMethod::First, []) => Some((
+                    (PrimKindInfo::Fifo | PrimKindInfo::Source, PrimMethod::First, []) => Some((
                         Box::new(move |p, _| {
                             p.charge_read();
                             if p.peek_word(id, PrimMethod::NotEmpty, 0, 0, 1)? == 0 {
                                 return Err(ExecError::GuardFail);
                             }
-                            Ok(Place {
-                                kind: PlaceKind::Prim {
-                                    id,
-                                    m: PrimMethod::First,
-                                    cell: 0,
-                                },
-                                off: 0,
-                            })
+                            Ok(at(0))
                         }),
-                        info.layout.clone(),
+                        layout,
                     )),
                     (PrimKindInfo::RegFile { size }, PrimMethod::Sub, [i]) => {
-                        let layout = info.layout.clone();
-                        let (it, ity) = self.word_expr(i)?;
+                        let (it, ity) = self.word(i)?;
                         Some((
                             Box::new(move |p, f| {
                                 let iv = ity.view_int(it(p, f)?);
                                 p.charge_read();
-                                let cell = usize::try_from(iv).map_err(|_| {
-                                    ExecError::Bounds(format!("negative index {iv}"))
-                                })?;
+                                let cell = index(iv)?;
                                 if cell >= size {
                                     return Err(ExecError::Bounds(format!(
                                         "sub {cell} out of {size}"
                                     )));
                                 }
-                                Ok(Place {
-                                    kind: PlaceKind::Prim {
-                                        id,
-                                        m: PrimMethod::Sub,
-                                        cell,
-                                    },
-                                    off: 0,
-                                })
+                                Ok(at(cell))
                             }),
                             layout,
                         ))
@@ -1189,13 +1103,12 @@ impl<'d> Lowerer<'d> {
                 }
             }
             Expr::Field(v, name) => {
-                let (inner, lay) = self.agg_place(v)?;
-                let LayoutKind::Struct { fields } = &lay.kind else {
+                let (inner, layout) = self.base_place(v)?;
+                let LayoutKind::Struct { fields } = &layout.kind else {
                     return None;
                 };
                 let fl = fields.iter().find(|fl| &fl.name == name)?;
                 let foff = fl.offset;
-                let flay = fl.layout.clone();
                 Some((
                     Box::new(move |p, f| {
                         let mut pl = inner(p, f)?;
@@ -1203,22 +1116,21 @@ impl<'d> Lowerer<'d> {
                         pl.off += foff;
                         Ok(pl)
                     }),
-                    flay,
+                    Arc::clone(&fl.layout),
                 ))
             }
             Expr::Index(v, i) => {
-                let (inner, lay) = self.agg_place(v)?;
-                let LayoutKind::Vector { len, stride, elem } = &lay.kind else {
+                let (inner, layout) = self.base_place(v)?;
+                let LayoutKind::Vector { len, stride, elem } = &layout.kind else {
                     return None;
                 };
-                let (len, stride, elay) = (*len, *stride, (**elem).clone());
-                let (it, ity) = self.word_expr(i)?;
+                let (len, stride) = (*len, *stride);
+                let elem = Arc::clone(elem);
+                let (it, ity) = self.word(i)?;
                 Some((
                     Box::new(move |p, f| {
                         let mut pl = inner(p, f)?;
-                        let iv = ity.view_int(it(p, f)?);
-                        let idx = usize::try_from(iv)
-                            .map_err(|_| ExecError::Bounds(format!("negative index {iv}")))?;
+                        let idx = index(ity.view_int(it(p, f)?))?;
                         p.cost().ops += 1;
                         if idx >= len {
                             return Err(ExecError::Bounds(format!("index {idx} out of {len}")));
@@ -1226,223 +1138,97 @@ impl<'d> Lowerer<'d> {
                         pl.off += idx as u32 * stride;
                         Ok(pl)
                     }),
-                    elay,
+                    elem,
                 ))
             }
             _ => None,
         }
     }
 
-    /// Lowers an expression to a closure that writes its packed bits
-    /// into frame scratch at `dst` — the zero-`Value` path for
-    /// aggregate method arguments. Returns the packed width. `MkVec`/
-    /// `MkStruct` pack elements at their running offsets and charge
-    /// one op per element after evaluation, like the boxed
-    /// constructors; constants pre-pack at lower time.
-    fn packed_expr(&mut self, e: &Expr, dst: usize) -> Option<(ActThunk, u32)> {
-        if let Some((wt, ty)) = self.word_expr(e) {
-            let width = ty.width();
-            return Some((
-                Box::new(move |p, f| {
-                    let w = wt(p, f)?;
-                    put_bits(&mut f.words, dst, width, w);
-                    Ok(())
-                }),
-                width,
-            ));
+    /// The base of a field or index step: another access chain, or any
+    /// other aggregate expression packed into a fresh region.
+    fn base_place(&mut self, v: &Expr) -> Option<(PlaceThunk, Arc<Layout>)> {
+        if matches!(
+            v,
+            Expr::Var(_) | Expr::Call(..) | Expr::Field(..) | Expr::Index(..)
+        ) {
+            return self.agg_place(v);
         }
-        match e {
-            Expr::Const(v) => {
-                let lay = Layout::of(&v.type_of());
-                let mut ws = vec![0u64; lay.words64().max(1)];
-                v.write_flat(&mut ws, 0);
-                let width = lay.width;
-                Some((
-                    Box::new(move |_, f| {
-                        copy_bits(&ws, 0, &mut f.words, dst, width);
-                        Ok(())
-                    }),
-                    width,
-                ))
-            }
-            Expr::MkVec(es) => {
-                let mut parts = Vec::with_capacity(es.len());
-                let mut at = dst;
-                for el in es {
-                    let (t, w) = self.packed_expr(el, at)?;
-                    at += w as usize;
-                    parts.push(t);
-                }
-                let n = es.len() as u64;
-                Some((
-                    Box::new(move |p, f| {
-                        for t in &parts {
-                            t(p, f)?;
-                        }
-                        p.cost().ops += n;
-                        Ok(())
-                    }),
-                    (at - dst) as u32,
-                ))
-            }
-            Expr::MkStruct(fs) => {
-                let mut parts = Vec::with_capacity(fs.len());
-                let mut at = dst;
-                for (_, el) in fs {
-                    let (t, w) = self.packed_expr(el, at)?;
-                    at += w as usize;
-                    parts.push(t);
-                }
-                let n = fs.len() as u64;
-                Some((
-                    Box::new(move |p, f| {
-                        for t in &parts {
-                            t(p, f)?;
-                        }
-                        p.cost().ops += n;
-                        Ok(())
-                    }),
-                    (at - dst) as u32,
-                ))
-            }
-            _ => {
-                let (pt, lay) = self.agg_place(e)?;
-                let width = lay.width;
-                Some((
-                    Box::new(move |p, f| {
-                        let pl = pt(p, f)?;
-                        copy_place_packed(p, f, pl, width, dst)
-                    }),
-                    width,
-                ))
-            }
-        }
+        let (vt, layout) = self.pack(v)?;
+        let bit = self.alloc_region(layout.width);
+        Some((
+            Box::new(move |p, f| {
+                vt(p, f, bit)?;
+                Ok(Place {
+                    kind: PlaceKind::Frame { bit },
+                    off: 0,
+                })
+            }),
+            layout,
+        ))
     }
 
-    /// The word-path lowering of an action-method call: register
-    /// writes, FIFO enqueues, and regfile updates whose payload can
-    /// travel as a word or as packed scratch bits. `None` falls back to
-    /// the boxed call (which still word-lowers its argument
-    /// subexpressions where possible). The payload width must equal
-    /// the primitive's element width — the boxed path's runtime width
-    /// check, proved at lower time.
-    fn call_action_flat(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
+    /// An action-method call: register writes, FIFO and sink enqueues
+    /// and register-file updates take their payload as a word or as
+    /// packed scratch bits; `deq` and `clear` take none. The payload
+    /// width must equal the primitive's element width (a sink's payload
+    /// its layout) — the interpreter's run-time shape check, proved at
+    /// lower time.
+    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
         let info = self.info(id)?;
-        let lane_width = info.layout.width;
+        let lane = info.layout.width;
         match (info.kind, m, args) {
             (PrimKindInfo::Reg, PrimMethod::RegWrite, [e])
-            | (PrimKindInfo::Fifo, PrimMethod::Enq, [e]) => {
-                if let Some((wt, wty)) = self.word_expr(e) {
-                    if wty.width() != lane_width {
-                        return None;
-                    }
-                    return Some(Box::new(move |p, f| {
-                        let w = wt(p, f)?;
-                        p.call_action_word(id, m, 0, w)
-                    }));
+            | (PrimKindInfo::Fifo, PrimMethod::Enq, [e]) => match self.lower(e)? {
+                Lowered::Word(wt, ty) if ty.width() == lane => Some(Box::new(move |p, f| {
+                    let w = wt(p, f)?;
+                    p.call_action_word(id, m, 0, w)
+                })),
+                Lowered::Packed(pt, l) if l.width == lane => {
+                    let dst = self.alloc_region(lane);
+                    Some(Box::new(move |p, f| {
+                        pt(p, f, dst)?;
+                        p.call_action_packed(id, m, 0, &f.words, dst)
+                    }))
                 }
-                let dst = self.alloc_region(lane_width);
-                let (pt, w) = self.packed_expr(e, dst)?;
-                if w != lane_width {
+                _ => None,
+            },
+            (PrimKindInfo::Sink, PrimMethod::Enq, [e]) => {
+                let (pt, l) = self.pack(e)?;
+                if l != info.layout {
                     return None;
                 }
+                let dst = self.alloc_region(lane);
                 Some(Box::new(move |p, f| {
-                    pt(p, f)?;
+                    pt(p, f, dst)?;
                     p.call_action_packed(id, m, 0, &f.words, dst)
                 }))
             }
             (PrimKindInfo::RegFile { .. }, PrimMethod::Upd, [i, e]) => {
-                let (it, ity) = self.word_expr(i)?;
-                if let Some((wt, wty)) = self.word_expr(e) {
-                    if wty.width() != lane_width {
-                        return None;
-                    }
-                    return Some(Box::new(move |p, f| {
+                let (it, ity) = self.word(i)?;
+                match self.lower(e)? {
+                    Lowered::Word(wt, ty) if ty.width() == lane => Some(Box::new(move |p, f| {
                         let iv = ity.view_int(it(p, f)?);
                         let w = wt(p, f)?;
-                        p.call_action_word(id, PrimMethod::Upd, iv, w)
-                    }));
+                        p.call_action_word(id, m, iv, w)
+                    })),
+                    Lowered::Packed(pt, l) if l.width == lane => {
+                        let dst = self.alloc_region(lane);
+                        Some(Box::new(move |p, f| {
+                            let iv = ity.view_int(it(p, f)?);
+                            pt(p, f, dst)?;
+                            p.call_action_packed(id, m, iv, &f.words, dst)
+                        }))
+                    }
+                    _ => None,
                 }
-                let dst = self.alloc_region(lane_width);
-                let (pt, w) = self.packed_expr(e, dst)?;
-                if w != lane_width {
-                    return None;
-                }
-                Some(Box::new(move |p, f| {
-                    let iv = ity.view_int(it(p, f)?);
-                    pt(p, f)?;
-                    p.call_action_packed(id, PrimMethod::Upd, iv, &f.words, dst)
-                }))
+            }
+            (PrimKindInfo::Fifo, PrimMethod::Deq | PrimMethod::Clear, [])
+            | (PrimKindInfo::Source, PrimMethod::Deq, []) => {
+                Some(Box::new(move |p, _| p.call_action_noarg(id, m)))
             }
             _ => None,
         }
-    }
-
-    /// A value-method call, argument lists of arity ≤ 2 specialized to
-    /// stack arrays (no argument `Vec` per call).
-    fn call_value(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ExprThunk> {
-        Some(match args {
-            [] => Box::new(move |p, _| p.call_value(id, m, &[])),
-            [a0] => {
-                let a0 = self.expr(a0)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    p.call_value(id, m, std::slice::from_ref(&v0))
-                })
-            }
-            [a0, a1] => {
-                let a0 = self.expr(a0)?;
-                let a1 = self.expr(a1)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    let v1 = a1(p, f)?;
-                    p.call_value(id, m, &[v0, v1])
-                })
-            }
-            _ => {
-                let ts = self.exprs(args)?;
-                Box::new(move |p, f| {
-                    let mut vals = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        vals.push(t(p, f)?);
-                    }
-                    p.call_value(id, m, &vals)
-                })
-            }
-        })
-    }
-
-    /// An action-method call; same arity specialization as value calls.
-    fn call_action(&mut self, id: PrimId, m: PrimMethod, args: &[Expr]) -> Option<ActThunk> {
-        Some(match args {
-            [] => Box::new(move |p, _| p.call_action(id, m, &[])),
-            [a0] => {
-                let a0 = self.expr(a0)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    p.call_action(id, m, std::slice::from_ref(&v0))
-                })
-            }
-            [a0, a1] => {
-                let a0 = self.expr(a0)?;
-                let a1 = self.expr(a1)?;
-                Box::new(move |p, f| {
-                    let v0 = a0(p, f)?;
-                    let v1 = a1(p, f)?;
-                    p.call_action(id, m, &[v0, v1])
-                })
-            }
-            _ => {
-                let ts = self.exprs(args)?;
-                Box::new(move |p, f| {
-                    let mut vals = Vec::with_capacity(ts.len());
-                    for t in &ts {
-                        vals.push(t(p, f)?);
-                    }
-                    p.call_action(id, m, &vals)
-                })
-            }
-        })
     }
 
     fn action(&mut self, a: &Action) -> Option<ActThunk> {
@@ -1450,24 +1236,18 @@ impl<'d> Lowerer<'d> {
             Action::NoAction => Box::new(|_, _| Ok(())),
             Action::Write(t, e) => {
                 let (id, m) = prim_target(t)?;
-                if let Some(t) = self.call_action_flat(id, m, std::slice::from_ref(e)) {
-                    return Some(t);
-                }
                 return self.call_action(id, m, std::slice::from_ref(e));
             }
             Action::Call(t, args) => {
                 let (id, m) = prim_target(t)?;
-                if let Some(t) = self.call_action_flat(id, m, args) {
-                    return Some(t);
-                }
                 return self.call_action(id, m, args);
             }
             Action::If(c, th, el) => {
-                let c = self.expr(c)?;
+                let c = self.cond(c)?;
                 let th = self.action(th)?;
                 let el = self.action(el)?;
                 Box::new(move |p, f| {
-                    let vc = c(p, f)?.as_bool()?;
+                    let vc = c(p, f)? != 0;
                     p.cost().ops += 1;
                     if vc {
                         th(p, f)
@@ -1485,10 +1265,10 @@ impl<'d> Lowerer<'d> {
                 })
             }
             Action::When(g, x) => {
-                let g = self.expr(g)?;
+                let g = self.cond(g)?;
                 let x = self.action(x)?;
                 Box::new(move |p, f| {
-                    let gv = g(p, f)?.as_bool()?;
+                    let gv = g(p, f)? != 0;
                     p.cost().ops += 1;
                     if gv {
                         x(p, f)
@@ -1515,12 +1295,12 @@ impl<'d> Lowerer<'d> {
                 })
             }
             Action::Loop(c, body) => {
-                let c = self.expr(c)?;
+                let c = self.cond(c)?;
                 let body = self.action(body)?;
                 Box::new(move |p, f| {
                     let mut iters = 0u64;
                     loop {
-                        let cv = c(p, f)?.as_bool()?;
+                        let cv = c(p, f)? != 0;
                         p.cost().ops += 1;
                         if !cv {
                             return Ok(());
@@ -1558,6 +1338,33 @@ impl<'d> Lowerer<'d> {
     }
 }
 
+/// Runs `first`, then the lowered expression (a `let` store before its
+/// body, a `when` guard before its value).
+fn then(first: ActThunk, rest: Lowered) -> Lowered {
+    match rest {
+        Lowered::Word(t, ty) => Lowered::Word(
+            Box::new(move |p, f| {
+                first(p, f)?;
+                t(p, f)
+            }),
+            ty,
+        ),
+        Lowered::Packed(t, l) => Lowered::Packed(
+            Box::new(move |p, f, dst| {
+                first(p, f)?;
+                t(p, f, dst)
+            }),
+            l,
+        ),
+    }
+}
+
+/// A run-time index as `usize`, with [`Value::as_index`]'s error.
+#[inline]
+fn index(iv: i64) -> ExecResult<usize> {
+    usize::try_from(iv).map_err(|_| ExecError::Bounds(format!("negative index {iv}")))
+}
+
 fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
     match t {
         Target::Prim(id, m) => Some((*id, *m)),
@@ -1565,38 +1372,23 @@ fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
     }
 }
 
-/// Lowers a guard. One whose word lowering reaches a Bool root becomes
-/// a [`GuardEval::Word`] that never materializes a `Value`; otherwise
-/// it is a boxed closure whose scalar subexpressions still travel as
-/// words. `None` when it references unelaborated names or free
-/// variables.
+/// Lowers a guard to a closure returning its verdict as a word, or
+/// `None` when the guard declines (see the module docs).
 fn compile_expr(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
     let mut l = Lowerer::new(infos);
-    let eval = match l.word_expr(e) {
-        // Guards are Bool-typed; a non-Bool root must keep the boxed
-        // `as_bool` error, so only Bool roots take the bare-word form.
-        Some((wt, WordTy::Bool)) => GuardEval::Word(wt),
-        Some((wt, ty)) => GuardEval::Boxed(Box::new(move |p, f| Ok(ty.materialize(wt(p, f)?)))),
-        None => {
-            l = Lowerer::new(infos);
-            GuardEval::Boxed(l.expr(e)?)
-        }
-    };
+    let eval = l.cond(e)?;
     Some(CompiledExpr {
         eval,
-        slots: l.slots,
         words: l.words,
     })
 }
 
-/// Lowers a rule body, or `None` if it uses constructs the backend does
-/// not model (`localGuard`, unelaborated names, free variables).
+/// Lowers a rule body, or `None` when it declines (see the module docs).
 fn compile_action(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
     let mut l = Lowerer::new(infos);
     let thunk = l.action(a)?;
     Some(CompiledAction {
         thunk,
-        slots: l.slots,
         words: l.words,
     })
 }
@@ -1609,8 +1401,8 @@ fn compile_plan(plan: &RulePlan, infos: &[PrimInfo]) -> NativeRule {
 }
 
 /// Lowers every plan of a design to native closures for a flat-arena
-/// store. The design supplies the primitive element layouts that let
-/// scalar port traffic run unboxed (see the module docs).
+/// store. The design supplies the primitive element layouts the packed
+/// representation is built from (see the module docs).
 pub fn compile_plans(plans: &[RulePlan], design: &Design) -> Vec<NativeRule> {
     let infos = prim_infos(design);
     plans.iter().map(|p| compile_plan(p, &infos)).collect()
@@ -1626,16 +1418,12 @@ pub fn eval_guard_native(
     cost: &mut Cost,
 ) -> ExecResult<bool> {
     cost.guard_evals += 1;
-    frame.ensure(guard.slots);
-    frame.ensure_words(guard.words);
+    frame.ensure(guard.words);
     let mut port = NativePort::Ro { store, cost };
-    let r = match &guard.eval {
-        GuardEval::Word(t) => t(&mut port, frame).map(|w| w != 0),
-        GuardEval::Boxed(t) => t(&mut port, frame).and_then(|v| v.as_bool()),
-    };
-    match r {
+    match (guard.eval)(&mut port, frame) {
+        Ok(w) => Ok(w != 0),
         Err(ExecError::GuardFail) => Ok(false),
-        r => r,
+        Err(e) => Err(e),
     }
 }
 
@@ -1652,8 +1440,7 @@ pub fn run_rule_native(
 ) -> ExecResult<(RuleOutcome, Cost)> {
     let mut txn = Txn::new(store, log, policy);
     txn.cost.txn_setups += 1;
-    frame.ensure(body.slots);
-    frame.ensure_words(body.words);
+    frame.ensure(body.words);
     let mut port = NativePort::Txn(txn);
     let r = (body.thunk)(&mut port, frame);
     let NativePort::Txn(txn) = port else {
@@ -1675,8 +1462,7 @@ pub fn run_rule_inplace_native(
     store: &mut Store,
     body: &CompiledAction,
 ) -> ExecResult<Cost> {
-    frame.ensure(body.slots);
-    frame.ensure_words(body.words);
+    frame.ensure(body.words);
     let mut cost = Cost::default();
     cost.inplace_runs += 1;
     let mut port = NativePort::InPlace { store, cost };
@@ -1697,43 +1483,48 @@ pub fn run_rule_inplace_native(
 mod tests {
     use super::*;
     use crate::ast::{Path, PrimId, PrimMethod, RuleDef};
+    use crate::builder::dsl::{
+        add, and, cint, cond, eq, field, gt, index, let_a, loop_a, lt, mkstruct, mkvec, ne, par,
+        seq, sub_e, upd_field, upd_index, var, when_a, when_e,
+    };
     use crate::design::{Design, PrimDef};
     use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace};
-    use crate::prim::PrimSpec;
+    use crate::prim::{PrimSpec, PrimState};
+    use crate::sched::{ExecBackend, SwRunner};
     use crate::types::Type;
-    use crate::value::BinOp;
     use crate::xform::{compile_rule, CompileOpts, ExecMode};
 
     const A: PrimId = PrimId(0);
     const F: PrimId = PrimId(1);
     const B: PrimId = PrimId(2);
 
-    fn d3() -> Design {
+    fn reg(path: &str, init: Value) -> PrimDef {
+        PrimDef {
+            path: Path::new(path),
+            spec: PrimSpec::Reg { init },
+        }
+    }
+
+    fn design(prims: Vec<PrimDef>) -> Design {
         Design {
             name: "t".into(),
-            prims: vec![
-                PrimDef {
-                    path: Path::new("a"),
-                    spec: PrimSpec::Reg {
-                        init: Value::int(32, 0),
-                    },
-                },
-                PrimDef {
-                    path: Path::new("f"),
-                    spec: PrimSpec::Fifo {
-                        depth: 2,
-                        ty: Type::Int(32),
-                    },
-                },
-                PrimDef {
-                    path: Path::new("b"),
-                    spec: PrimSpec::Reg {
-                        init: Value::int(32, 0),
-                    },
-                },
-            ],
+            prims,
             ..Default::default()
         }
+    }
+
+    fn d3() -> Design {
+        design(vec![
+            reg("a", Value::int(32, 0)),
+            PrimDef {
+                path: Path::new("f"),
+                spec: PrimSpec::Fifo {
+                    depth: 2,
+                    ty: Type::Int(32),
+                },
+            },
+            reg("b", Value::int(32, 0)),
+        ])
     }
 
     fn wr(id: PrimId, e: Expr) -> Action {
@@ -1744,6 +1535,21 @@ mod tests {
     }
     fn enq(id: PrimId, e: Expr) -> Action {
         Action::Call(Target::Prim(id, PrimMethod::Enq), vec![e])
+    }
+    fn call(id: PrimId, m: PrimMethod, args: Vec<Expr>) -> Expr {
+        Expr::Call(Target::Prim(id, m), args)
+    }
+    fn act(id: PrimId, m: PrimMethod, args: Vec<Expr>) -> Action {
+        Action::Call(Target::Prim(id, m), args)
+    }
+    fn rule(name: &str, body: Action) -> RuleDef {
+        RuleDef {
+            name: name.into(),
+            body,
+        }
+    }
+    fn put(s: &mut Store, id: PrimId, m: PrimMethod, v: Value) {
+        s.call_action_at(id, m, &[v]).unwrap();
     }
 
     /// Every primitive holds the same state on the tree and flat stores.
@@ -1793,240 +1599,133 @@ mod tests {
         assert_same_state(&s_ast, &s_nat, design, &rule.name);
     }
 
+    /// A body that must fail with a non-guard error: the native backend
+    /// on a flat store and the interpreter on a tree store report the
+    /// same text.
+    fn assert_error_parity(body: &Action, design: &Design) {
+        let cb = compile_action(body, &prim_infos(design)).expect("body compiles natively");
+        let err_nat = run_rule_native(
+            &mut NativeFrame::new(),
+            &mut TxnLog::new(),
+            &mut Store::new_flat(design),
+            &cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap_err();
+        let err_ast = run_rule(&mut Store::new(design), body, ShadowPolicy::Partial).unwrap_err();
+        assert_eq!(format!("{err_nat}"), format!("{err_ast}"));
+    }
+
     /// In-place parity for fully lifted rules: native on flat against the
     /// interpreter on tree.
-    fn assert_inplace_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
+    fn assert_inplace_parity(rule: &RuleDef, design: &Design) {
         let plan = compile_rule(rule, CompileOpts::default());
         assert_eq!(plan.mode, ExecMode::InPlace, "{} must lift", rule.name);
         let native = compile_plan(&plan, &prim_infos(design));
         let cb = native.body.as_ref().expect("body compiles natively");
         let mut s_ast = Store::new(design);
-        setup(&mut s_ast);
         let mut s_nat = Store::new_flat(design);
-        setup(&mut s_nat);
-        let mut frame = NativeFrame::new();
         let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
-        let c_nat = run_rule_inplace_native(&mut frame, &mut s_nat, cb).unwrap();
+        let c_nat = run_rule_inplace_native(&mut NativeFrame::new(), &mut s_nat, cb).unwrap();
         assert_eq!(c_ast, c_nat, "in-place cost for {}", rule.name);
         assert_same_state(&s_ast, &s_nat, design, &rule.name);
     }
 
     /// The paper's running example: `Rule foo {a := 1; f.enq(a); a := 0}`.
     fn rule_foo() -> RuleDef {
-        RuleDef {
-            name: "foo".into(),
-            body: Action::Seq(
-                Box::new(wr(A, Expr::int(32, 1))),
-                Box::new(Action::Seq(
-                    Box::new(enq(F, rd(A))),
-                    Box::new(wr(A, Expr::int(32, 0))),
-                )),
-            ),
-        }
+        rule(
+            "foo",
+            seq(vec![wr(A, cint(32, 1)), enq(F, rd(A)), wr(A, cint(32, 0))]),
+        )
     }
 
     #[test]
     fn native_execution_matches_interpreter() {
         let d = d3();
-        assert_native_parity(&rule_foo(), &d, |_| {});
-        assert_native_parity(&rule_foo(), &d, |s| {
+        let fill = |s: &mut Store| {
             for _ in 0..2 {
-                s.call_action_at(F, PrimMethod::Enq, &[Value::int(32, 0)])
-                    .unwrap();
+                put(s, F, PrimMethod::Enq, Value::int(32, 0));
             }
-        });
-        // Conditional both ways.
-        let cond = RuleDef {
-            name: "c".into(),
-            body: Action::If(
-                Box::new(Expr::Bin(
-                    BinOp::Gt,
-                    Box::new(rd(A)),
-                    Box::new(Expr::int(32, 0)),
-                )),
-                Box::new(enq(F, rd(A))),
-                Box::new(wr(B, Expr::int(32, 9))),
-            ),
         };
-        assert_native_parity(&cond, &d, |_| {});
-        assert_native_parity(&cond, &d, |s| {
-            s.call_action_at(A, PrimMethod::RegWrite, &[Value::int(32, 3)])
-                .unwrap();
+        assert_native_parity(&rule_foo(), &d, |_| {});
+        assert_native_parity(&rule_foo(), &d, fill);
+        // Conditional both ways.
+        let c = rule(
+            "c",
+            Action::If(
+                Box::new(gt(rd(A), cint(32, 0))),
+                Box::new(enq(F, rd(A))),
+                Box::new(wr(B, cint(32, 9))),
+            ),
+        );
+        assert_native_parity(&c, &d, |_| {});
+        assert_native_parity(&c, &d, |s| {
+            put(s, A, PrimMethod::RegWrite, Value::int(32, 3))
         });
         // Nested lets with shadowing.
-        let lets = RuleDef {
-            name: "lets".into(),
-            body: Action::Let(
-                "x".into(),
-                Box::new(Expr::int(32, 3)),
-                Box::new(Action::Let(
-                    "x".into(),
-                    Box::new(Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Var("x".into())),
-                        Box::new(Expr::int(32, 1)),
-                    )),
-                    Box::new(wr(A, Expr::Var("x".into()))),
-                )),
-            ),
-        };
-        assert_native_parity(&lets, &d, |_| {});
+        let lets = let_a(
+            "x",
+            cint(32, 3),
+            let_a("x", add(var("x"), cint(32, 1)), wr(A, var("x"))),
+        );
+        assert_native_parity(&rule("lets", lets), &d, |_| {});
         // A loop with per-iteration condition cost.
-        let lp = RuleDef {
-            name: "lp".into(),
-            body: Action::Loop(
-                Box::new(Expr::Bin(
-                    BinOp::Lt,
-                    Box::new(rd(A)),
-                    Box::new(Expr::int(32, 3)),
-                )),
-                Box::new(wr(
-                    A,
-                    Expr::Bin(BinOp::Add, Box::new(rd(A)), Box::new(Expr::int(32, 1))),
-                )),
+        let lp = loop_a(lt(rd(A), cint(32, 3)), wr(A, add(rd(A), cint(32, 1))));
+        assert_native_parity(&rule("lp", lp), &d, |_| {});
+        // A let-bound functional vector update, indexed.
+        let v = mkvec(vec![cint(32, 10), cint(32, 20), cint(32, 30)]);
+        let vecs = let_a(
+            "v",
+            upd_index(v, cint(32, 1), cint(32, 99)),
+            wr(
+                A,
+                add(index(var("v"), cint(32, 1)), index(var("v"), cint(32, 2))),
             ),
-        };
-        assert_native_parity(&lp, &d, |_| {});
-        // Vector expressions, including the fused LoadIndex path.
-        let vecs = RuleDef {
-            name: "vecs".into(),
-            body: Action::Let(
-                "v".into(),
-                Box::new(Expr::UpdateIndex(
-                    Box::new(Expr::MkVec(vec![
-                        Expr::int(32, 10),
-                        Expr::int(32, 20),
-                        Expr::int(32, 30),
-                    ])),
-                    Box::new(Expr::int(32, 1)),
-                    Box::new(Expr::int(32, 99)),
-                )),
-                Box::new(wr(
-                    A,
-                    Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Index(
-                            Box::new(Expr::Var("v".into())),
-                            Box::new(Expr::int(32, 1)),
-                        )),
-                        Box::new(Expr::Index(
-                            Box::new(Expr::Var("v".into())),
-                            Box::new(Expr::int(32, 2)),
-                        )),
-                    ),
-                )),
-            ),
-        };
-        assert_native_parity(&vecs, &d, |_| {});
-        // Struct expressions, including the fused LoadField path.
-        let structs = RuleDef {
-            name: "structs".into(),
-            body: Action::Let(
-                "s".into(),
-                Box::new(Expr::UpdateField(
-                    Box::new(Expr::MkStruct(vec![
-                        ("re".into(), Expr::int(32, 7)),
-                        ("im".into(), Expr::int(32, 8)),
-                    ])),
-                    "im".into(),
-                    Box::new(Expr::int(32, 80)),
-                )),
-                Box::new(wr(
-                    A,
-                    Expr::Field(Box::new(Expr::Var("s".into())), "im".into()),
-                )),
-            ),
-        };
-        assert_native_parity(&structs, &d, |_| {});
+        );
+        assert_native_parity(&rule("vecs", vecs), &d, |_| {});
+        // A let-bound functional struct update, projected.
+        let st = mkstruct(vec![("re", cint(32, 7)), ("im", cint(32, 8))]);
+        let structs = let_a(
+            "s",
+            upd_field(st, "im", cint(32, 80)),
+            wr(A, field(var("s"), "im")),
+        );
+        assert_native_parity(&rule("structs", structs), &d, |_| {});
         // A residual mid-sequence guard (deq;enq on the same FIFO) — the
         // native body must fail/rollback exactly like the interpreter.
-        let residual = RuleDef {
-            name: "res".into(),
-            body: Action::Seq(
-                Box::new(Action::Call(Target::Prim(F, PrimMethod::Deq), vec![])),
-                Box::new(enq(F, Expr::int(32, 1))),
-            ),
-        };
+        let residual = rule(
+            "res",
+            seq(vec![act(F, PrimMethod::Deq, vec![]), enq(F, cint(32, 1))]),
+        );
         assert_native_parity(&residual, &d, |_| {});
         assert_native_parity(&residual, &d, |s| {
-            s.call_action_at(F, PrimMethod::Enq, &[Value::int(32, 5)])
-                .unwrap();
+            put(s, F, PrimMethod::Enq, Value::int(32, 5))
         });
         // A true swap keeps its Par body; the native closure drives the
         // same par_start/par_mid/par_end frame discipline.
-        let swap = RuleDef {
-            name: "swap".into(),
-            body: Action::Par(Box::new(wr(A, rd(B))), Box::new(wr(B, rd(A)))),
-        };
+        let swap = rule("swap", par(vec![wr(A, rd(B)), wr(B, rd(A))]));
         assert_native_parity(&swap, &d, |s| {
-            s.call_action_at(A, PrimMethod::RegWrite, &[Value::int(32, 7)])
-                .unwrap();
+            put(s, A, PrimMethod::RegWrite, Value::int(32, 7))
         });
         // When-expression guard folding.
-        let when_e = RuleDef {
-            name: "when_e".into(),
-            body: wr(
-                A,
-                Expr::When(
-                    Box::new(rd(B)),
-                    Box::new(Expr::Bin(
-                        BinOp::Gt,
-                        Box::new(rd(B)),
-                        Box::new(Expr::int(32, 5)),
-                    )),
-                ),
-            ),
-        };
-        assert_native_parity(&when_e, &d, |_| {});
+        let when = wr(A, when_e(rd(B), gt(rd(B), cint(32, 5))));
+        assert_native_parity(&rule("when_e", when), &d, |_| {});
     }
 
     #[test]
     fn native_inplace_matches_interpreter() {
         let d = d3();
-        assert_inplace_parity(&rule_foo(), &d, |_| {});
-        let lg = RuleDef {
-            name: "lg".into(),
-            body: Action::LocalGuard(Box::new(enq(F, Expr::int(32, 1)))),
-        };
-        // The lifter turns this into a plain conditional, which the
+        assert_inplace_parity(&rule_foo(), &d);
+        // The lifter turns localGuard into a plain conditional, which the
         // native backend executes in place.
-        assert_inplace_parity(&lg, &d, |_| {});
+        let lg = Action::LocalGuard(Box::new(enq(F, cint(32, 1))));
+        assert_inplace_parity(&rule("lg", lg), &d);
     }
 
     #[test]
     fn double_write_reported_identically() {
-        let d = d3();
-        let body = Action::Par(
-            Box::new(wr(A, Expr::int(32, 1))),
-            Box::new(wr(A, Expr::int(32, 2))),
-        );
-        let cb = compile_action(&body, &prim_infos(&d)).expect("Par compiles");
-        let mut s = Store::new_flat(&d);
-        let mut frame = NativeFrame::new();
-        let err = run_rule_native(
-            &mut frame,
-            &mut TxnLog::new(),
-            &mut s,
-            &cb,
-            ShadowPolicy::Partial,
-        )
-        .unwrap_err();
-        let mut s2 = Store::new(&d);
-        let err2 = run_rule(&mut s2, &body, ShadowPolicy::Partial).unwrap_err();
-        assert_eq!(format!("{err}"), format!("{err2}"));
-    }
-
-    #[test]
-    fn lowering_declines_local_guard_named_and_unbound() {
-        // Exactly three constructs are left to the interpreter:
-        // localGuard, unelaborated names, and unbound variables.
-        let infos = prim_infos(&d3());
-        let lg = Action::LocalGuard(Box::new(Action::NoAction));
-        assert!(compile_action(&lg, &infos).is_none());
-        let named = Action::Call(Target::Named("x".into(), "enq".into()), vec![]);
-        assert!(compile_action(&named, &infos).is_none());
-        let unbound = Expr::Var("nope".into());
-        assert!(compile_expr(&unbound, &infos).is_none());
+        let body = par(vec![wr(A, cint(32, 1)), wr(A, cint(32, 2))]);
+        assert_error_parity(&body, &d3());
     }
 
     #[test]
@@ -2036,11 +1735,7 @@ mod tests {
         let mut frame = NativeFrame::new();
         let mut cost = Cost::default();
         // Guard reads f.first on an empty FIFO -> false, not an error.
-        let g = Expr::Bin(
-            BinOp::Gt,
-            Box::new(Expr::Call(Target::Prim(F, PrimMethod::First), vec![])),
-            Box::new(Expr::int(32, 0)),
-        );
+        let g = gt(call(F, PrimMethod::First, vec![]), cint(32, 0));
         let cg = compile_expr(&g, &prim_infos(&d)).unwrap();
         assert!(!eval_guard_native(&mut frame, &s, &cg, &mut cost).unwrap());
         assert_eq!(cost.guard_evals, 1);
@@ -2051,113 +1746,99 @@ mod tests {
         assert_eq!(cost, cost2);
     }
 
-    /// A design exercising the word paths: a complex-pair FIFO, a
-    /// regfile, and scalar registers at awkward widths.
-    fn d_word() -> Design {
-        let pair = Type::Struct(vec![
+    fn pair_ty() -> Type {
+        Type::Struct(vec![
             ("re".into(), Type::Int(32)),
             ("im".into(), Type::Int(32)),
-        ]);
-        Design {
-            name: "w".into(),
-            prims: vec![
-                PrimDef {
-                    path: Path::new("a"),
-                    spec: PrimSpec::Reg {
-                        init: Value::int(32, 0),
-                    },
-                },
-                PrimDef {
-                    path: Path::new("f"),
-                    spec: PrimSpec::Fifo {
-                        depth: 2,
-                        ty: Type::Vector(2, Box::new(pair)),
-                    },
-                },
-                PrimDef {
-                    path: Path::new("rf"),
-                    spec: PrimSpec::RegFile {
-                        size: 4,
-                        ty: Type::Int(63),
-                        init: vec![],
-                    },
-                },
-                PrimDef {
-                    path: Path::new("n63"),
-                    spec: PrimSpec::Reg {
-                        init: Value::int(63, -5),
-                    },
-                },
-                PrimDef {
-                    path: Path::new("b64"),
-                    spec: PrimSpec::Reg {
-                        init: Value::bits(64, u64::MAX - 2),
-                    },
-                },
-            ],
-            ..Default::default()
-        }
+        ])
     }
 
+    fn mkpair(re: i64, im: i64) -> Expr {
+        mkstruct(vec![("re", cint(32, re)), ("im", cint(32, im))])
+    }
+
+    fn pair_val(re: i64, im: i64) -> Value {
+        Value::Struct(vec![
+            ("re".into(), Value::int(32, re)),
+            ("im".into(), Value::int(32, im)),
+        ])
+    }
+
+    /// A design exercising the packed paths: a complex-pair FIFO, a
+    /// regfile, scalar registers at awkward widths, a pair register, a
+    /// source of pair vectors, a pair sink and a vector register.
+    fn d_word() -> Design {
+        let boxed = |path: &str, spec| PrimDef {
+            path: Path::new(path),
+            spec,
+        };
+        let sw = || "SW".to_string();
+        design(vec![
+            reg("a", Value::int(32, 0)),
+            boxed(
+                "f",
+                PrimSpec::Fifo {
+                    depth: 2,
+                    ty: Type::Vector(2, Box::new(pair_ty())),
+                },
+            ),
+            boxed(
+                "rf",
+                PrimSpec::RegFile {
+                    size: 4,
+                    ty: Type::Int(63),
+                    init: vec![],
+                },
+            ),
+            reg("n63", Value::int(63, -5)),
+            reg("b64", Value::bits(64, u64::MAX - 2)),
+            reg("s", pair_val(0, 0)),
+            boxed(
+                "src",
+                PrimSpec::Source {
+                    ty: Type::Vector(2, Box::new(pair_ty())),
+                    domain: sw(),
+                },
+            ),
+            boxed(
+                "snk",
+                PrimSpec::Sink {
+                    ty: pair_ty(),
+                    domain: sw(),
+                },
+            ),
+            reg("v", Value::Vec(vec![Value::int(32, 0); 3])),
+        ])
+    }
+
+    const FV: PrimId = PrimId(1);
     const RF: PrimId = PrimId(2);
     const N63: PrimId = PrimId(3);
     const B64: PrimId = PrimId(4);
-    const FV: PrimId = PrimId(1);
-
-    fn mkpair(re: i64, im: i64) -> Expr {
-        Expr::MkStruct(vec![
-            ("re".into(), Expr::int(32, re)),
-            ("im".into(), Expr::int(32, im)),
-        ])
-    }
+    const S: PrimId = PrimId(5);
+    const SRC: PrimId = PrimId(6);
+    const SNK: PrimId = PrimId(7);
+    const V: PrimId = PrimId(8);
 
     #[test]
     fn word_path_aggregate_fifo_chain() {
         let d = d_word();
-        // Let x = f.first(); a := x[1].im; f.deq(); f.enq([{1,2},{3,4}])
-        let body = Action::Let(
-            "x".into(),
-            Box::new(Expr::Call(Target::Prim(FV, PrimMethod::First), vec![])),
-            Box::new(Action::Seq(
-                Box::new(wr(
-                    A,
-                    Expr::Field(
-                        Box::new(Expr::Index(
-                            Box::new(Expr::Var("x".into())),
-                            Box::new(Expr::int(32, 1)),
-                        )),
-                        "im".into(),
-                    ),
-                )),
-                Box::new(Action::Seq(
-                    Box::new(Action::Call(Target::Prim(FV, PrimMethod::Deq), vec![])),
-                    Box::new(Action::Call(
-                        Target::Prim(FV, PrimMethod::Enq),
-                        vec![Expr::MkVec(vec![mkpair(1, 2), mkpair(3, 4)])],
-                    )),
-                )),
-            )),
+        // let x = f.first in { a := x[1].im; f.deq; f.enq([{1,2},{3,4}]) }
+        let body = let_a(
+            "x",
+            call(FV, PrimMethod::First, vec![]),
+            seq(vec![
+                wr(A, field(index(var("x"), cint(32, 1)), "im")),
+                act(FV, PrimMethod::Deq, vec![]),
+                enq(FV, mkvec(vec![mkpair(1, 2), mkpair(3, 4)])),
+            ]),
         );
-        let rule = RuleDef {
-            name: "agg".into(),
-            body,
-        };
-        let payload = Value::Vec(vec![
-            Value::Struct(vec![
-                ("re".into(), Value::int(32, 7)),
-                ("im".into(), Value::int(32, -9)),
-            ]),
-            Value::Struct(vec![
-                ("re".into(), Value::int(32, 11)),
-                ("im".into(), Value::int(32, 13)),
-            ]),
-        ]);
+        let r = rule("agg", body);
         // Empty FIFO: guard-fails identically everywhere.
-        assert_native_parity(&rule, &d, |_| {});
-        let p = payload.clone();
-        assert_native_parity(&rule, &d, move |s| {
-            s.call_action_at(FV, PrimMethod::Enq, std::slice::from_ref(&p))
-                .unwrap();
+        assert_native_parity(&r, &d, |_| {});
+        let payload = Value::Vec(vec![pair_val(7, -9), pair_val(11, 13)]);
+        assert_native_parity(&r, &d, move |s| {
+            put(s, FV, PrimMethod::Enq, payload.clone())
         });
     }
 
@@ -2165,122 +1846,248 @@ mod tests {
     fn word_path_regfile_and_widths() {
         let d = d_word();
         // rf.upd(a, n63 + 1); n63 := rf.sub(a) - 7; b64 := ~b64; a := a + 1
-        let body = Action::Seq(
-            Box::new(Action::Call(
-                Target::Prim(RF, PrimMethod::Upd),
-                vec![
-                    rd(A),
-                    Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Call(Target::Prim(N63, PrimMethod::RegRead), vec![])),
-                        Box::new(Expr::int(63, 1)),
-                    ),
-                ],
-            )),
-            Box::new(Action::Seq(
-                Box::new(wr(
-                    N63,
-                    Expr::Bin(
-                        BinOp::Sub,
-                        Box::new(Expr::Call(Target::Prim(RF, PrimMethod::Sub), vec![rd(A)])),
-                        Box::new(Expr::int(63, 7)),
-                    ),
-                )),
-                Box::new(Action::Seq(
-                    Box::new(wr(
-                        B64,
-                        Expr::Un(
-                            UnOp::Inv,
-                            Box::new(Expr::Call(Target::Prim(B64, PrimMethod::RegRead), vec![])),
-                        ),
-                    )),
-                    Box::new(wr(
-                        A,
-                        Expr::Bin(BinOp::Add, Box::new(rd(A)), Box::new(Expr::int(32, 1))),
-                    )),
-                )),
-            )),
-        );
-        let rule = RuleDef {
-            name: "rfw".into(),
-            body,
-        };
-        assert_native_parity(&rule, &d, |_| {});
-        assert_native_parity(&rule, &d, |s| {
-            s.call_action_at(A, PrimMethod::RegWrite, &[Value::int(32, 3)])
-                .unwrap();
+        let body = seq(vec![
+            act(RF, PrimMethod::Upd, vec![rd(A), add(rd(N63), cint(63, 1))]),
+            wr(
+                N63,
+                sub_e(call(RF, PrimMethod::Sub, vec![rd(A)]), cint(63, 7)),
+            ),
+            wr(B64, Expr::Un(UnOp::Inv, Box::new(rd(B64)))),
+            wr(A, add(rd(A), cint(32, 1))),
+        ]);
+        let r = rule("rfw", body);
+        assert_native_parity(&r, &d, |_| {});
+        assert_native_parity(&r, &d, |s| {
+            put(s, A, PrimMethod::RegWrite, Value::int(32, 3))
         });
     }
 
     #[test]
     fn word_path_regfile_error_parity() {
+        // Out-of-range and negative dynamic upd: identical error text.
         let d = d_word();
-        // Out-of-range dynamic upd: error text must match the
-        // interpreter's, on both backends.
-        let body = Action::Call(
-            Target::Prim(RF, PrimMethod::Upd),
-            vec![Expr::int(32, 9), Expr::int(63, 1)],
-        );
-        let cb = compile_action(&body, &prim_infos(&d)).expect("compiles");
-        let mut frame = NativeFrame::new();
-        let mut s_flat = Store::new_flat(&d);
-        let err_flat = run_rule_native(
-            &mut frame,
-            &mut TxnLog::new(),
-            &mut s_flat,
-            &cb,
-            ShadowPolicy::Partial,
-        )
-        .unwrap_err();
-        let mut s_tree = Store::new(&d);
-        let err_tree = run_rule(&mut s_tree, &body, ShadowPolicy::Partial).unwrap_err();
-        assert_eq!(format!("{err_flat}"), format!("{err_tree}"));
-        // Negative dynamic index, same contract.
-        let neg = Action::Call(
-            Target::Prim(RF, PrimMethod::Upd),
-            vec![Expr::int(32, -1), Expr::int(63, 1)],
-        );
-        let cb = compile_action(&neg, &prim_infos(&d)).expect("compiles");
-        let err_flat = run_rule_native(
-            &mut frame,
-            &mut TxnLog::new(),
-            &mut s_flat,
-            &cb,
-            ShadowPolicy::Partial,
-        )
-        .unwrap_err();
-        let err_tree = run_rule(&mut s_tree, &neg, ShadowPolicy::Partial).unwrap_err();
-        assert_eq!(format!("{err_flat}"), format!("{err_tree}"));
+        for i in [9, -1] {
+            let body = act(RF, PrimMethod::Upd, vec![cint(32, i), cint(63, 1)]);
+            assert_error_parity(&body, &d);
+        }
     }
 
     #[test]
-    fn word_guards_never_materialize() {
+    fn guards_lower_and_match_interpreter() {
         let d = d_word();
-        // A typical guard: f.notEmpty && (a > 0). Must lower to a bare
-        // word thunk on the flat path.
-        let g = Expr::Bin(
-            BinOp::And,
-            Box::new(Expr::Call(Target::Prim(FV, PrimMethod::NotEmpty), vec![])),
-            Box::new(Expr::Bin(
-                BinOp::Gt,
-                Box::new(rd(A)),
-                Box::new(Expr::int(32, 0)),
-            )),
+        // A typical guard, f.notEmpty && (a > 0), and one comparing
+        // aggregates.
+        let guards = [
+            and(
+                call(FV, PrimMethod::NotEmpty, vec![]),
+                gt(rd(A), cint(32, 0)),
+            ),
+            ne(rd(S), mkpair(0, 1)),
+        ];
+        for g in guards {
+            let cg = compile_expr(&g, &prim_infos(&d)).expect("compiles");
+            let s = Store::new_flat(&d);
+            let mut c_nat = Cost::default();
+            let v_nat = eval_guard_native(&mut NativeFrame::new(), &s, &cg, &mut c_nat).unwrap();
+            let mut c_ast = Cost::default();
+            let v_ast = eval_guard_ro(&mut Store::new(&d), &g, &mut c_ast).unwrap();
+            assert_eq!((v_nat, c_nat), (v_ast, c_ast));
+        }
+    }
+
+    #[test]
+    fn lowering_declines_what_only_the_interpreter_handles() {
+        // The complete list of constructs left to the interpreter (the
+        // module docs' "What declines"); everything else lowers.
+        let infos = prim_infos(&d_word());
+        let body = |a: Action| compile_action(&a, &infos).is_none();
+        let guard = |e: Expr| compile_expr(&e, &infos).is_none();
+        let at0 = |v: Expr| wr(A, index(v, cint(32, 0)));
+        let hetero = vec![Value::int(32, 1), Value::bits(32, 2)];
+        let no = || Action::NoAction;
+        let declined = [
+            ("localGuard", body(Action::LocalGuard(Box::new(no())))),
+            (
+                "unelaborated target",
+                body(Action::Call(
+                    Target::Named("x".into(), "enq".into()),
+                    vec![],
+                )),
+            ),
+            ("unbound variable", guard(var("nope"))),
+            ("non-Bool guard", guard(rd(A))),
+            (
+                "non-Bool condition",
+                body(Action::If(Box::new(rd(A)), Box::new(no()), Box::new(no()))),
+            ),
+            (
+                "vector elements of unequal layouts",
+                body(at0(mkvec(
+                    hetero.iter().cloned().map(Expr::Const).collect(),
+                ))),
+            ),
+            ("empty vector", body(at0(mkvec(vec![])))),
+            (
+                "Cond arms of unequal layouts",
+                body(wr(
+                    S,
+                    cond(Expr::t(), rd(S), mkstruct(vec![("re", cint(32, 1))])),
+                )),
+            ),
+            (
+                "update with an element of another layout",
+                body(wr(V, upd_index(rd(V), cint(32, 0), cint(16, 1)))),
+            ),
+            ("arithmetic on an aggregate", body(wr(S, add(rd(S), rd(S))))),
+            (
+                "a method the primitive lacks",
+                body(act(A, PrimMethod::Enq, vec![cint(32, 1)])),
+            ),
+            ("payload of another width", body(wr(A, cint(16, 1)))),
+            (
+                "aggregate constant that does not decode back to itself",
+                body(at0(Expr::Const(Value::Vec(hetero)))),
+            ),
+        ];
+        for (what, declines) in declined {
+            assert!(declines, "{what} should stay on the interpreter");
+        }
+        // The same shapes, well-typed, lower.
+        assert!(!body(at0(mkvec(vec![cint(32, 1), cint(32, 2)]))));
+        assert!(!guard(eq(rd(S), mkpair(1, 2))));
+    }
+
+    #[test]
+    fn packed_cond_of_structs_matches_interpreter() {
+        let d = d_word();
+        let a_pos = gt(rd(A), cint(32, 0));
+        let built = mkstruct(vec![("re", rd(A)), ("im", add(rd(A), cint(32, 1)))]);
+        // Guarded on a Cond-of-structs comparison:
+        // s := a > 0 ? {re: a, im: a + 1} : {re: 7, im: -7};
+        // a := (a < 5 ? s : {re: 1, im: 2}).im
+        let body = when_a(
+            ne(cond(a_pos.clone(), rd(S), mkpair(9, 9)), mkpair(4, 4)),
+            seq(vec![
+                wr(S, cond(a_pos, built, mkpair(7, -7))),
+                wr(
+                    A,
+                    field(cond(lt(rd(A), cint(32, 5)), rd(S), mkpair(1, 2)), "im"),
+                ),
+            ]),
         );
-        let cg = compile_expr(&g, &prim_infos(&d)).expect("compiles");
-        assert!(
-            matches!(cg.eval, GuardEval::Word(_)),
-            "guard should lower to the bare-word form"
+        let r = rule("cond_structs", body);
+        for a in [0, 3, 9] {
+            assert_native_parity(&r, &d, |s| {
+                put(s, A, PrimMethod::RegWrite, Value::int(32, a));
+                put(s, S, PrimMethod::RegWrite, pair_val(4, 4));
+            });
+        }
+    }
+
+    #[test]
+    fn packed_aggregate_eq_ne_match_interpreter() {
+        let d = d_word();
+        let vec123 = mkvec(vec![cint(32, 1), cint(32, 2), cint(32, 3)]);
+        // a := s == {7, 8} ? 1 : (v != [1, 2, 3] ? 2 : 3)
+        let body = wr(
+            A,
+            cond(
+                eq(rd(S), mkpair(7, 8)),
+                cint(32, 1),
+                cond(ne(rd(V), vec123), cint(32, 2), cint(32, 3)),
+            ),
         );
-        // And it evaluates with interpreter-identical cost and verdict.
-        let s = Store::new_flat(&d);
-        let mut frame = NativeFrame::new();
-        let mut c_nat = Cost::default();
-        let v_nat = eval_guard_native(&mut frame, &s, &cg, &mut c_nat).unwrap();
-        let mut s2 = Store::new_flat(&d);
-        let mut c_ast = Cost::default();
-        let v_ast = eval_guard_ro(&mut s2, &g, &mut c_ast).unwrap();
-        assert_eq!(v_nat, v_ast);
-        assert_eq!(c_nat, c_ast);
+        let r = rule("agg_eq", body);
+        // Equal, unequal, and unequal only in the last packed bit.
+        let top = i64::from(i32::MIN);
+        for (s, v) in [
+            ((7, 8), [1, 2, 3]),
+            ((7, 9), [1, 2, 3]),
+            ((7, 8 + top), [1, 2, 3 + top]),
+            ((0, 0), [0, 0, 0]),
+        ] {
+            assert_native_parity(&r, &d, move |st| {
+                put(st, S, PrimMethod::RegWrite, pair_val(s.0, s.1));
+                let v = Value::Vec(v.iter().map(|&k| Value::int(32, k)).collect());
+                put(st, V, PrimMethod::RegWrite, v);
+            });
+        }
+    }
+
+    #[test]
+    fn packed_index_and_update_errors_match_interpreter() {
+        let d = d_word();
+        let vec3 = || mkvec(vec![cint(32, 10), cint(32, 20), cint(32, 30)]);
+        let upd = |i: i64| wr(V, upd_index(rd(V), cint(32, i), cint(32, 9)));
+        let idx = |v: Expr, i: i64| wr(A, index(v, cint(32, i)));
+        assert_native_parity(&rule("upd", upd(2)), &d, |_| {});
+        // Out of range and negative: identical error text.
+        for body in [
+            upd(3),
+            upd(-1),
+            idx(vec3(), 3),
+            idx(vec3(), -2),
+            idx(upd_index(vec3(), cint(32, 7), cint(32, 1)), 0),
+        ] {
+            assert_error_parity(&body, &d);
+        }
+    }
+
+    #[test]
+    fn heterogeneous_vector_falls_back_and_matches() {
+        let mut d = d_word();
+        let hetero = mkvec(vec![cint(32, 5), Expr::Const(Value::bits(32, 6))]);
+        let body = wr(A, add(rd(A), index(hetero, cint(32, 0))));
+        d.rules.push(rule("hetero", body));
+        let run = |backend: ExecBackend| {
+            let mut r = SwRunner::new(&d, backend.sw_options());
+            for _ in 0..3 {
+                assert!(r.try_rule(0).unwrap());
+            }
+            r
+        };
+        let (compiled, naive) = (run(ExecBackend::Compiled), run(ExecBackend::Naive));
+        assert_eq!(compiled.interpreted_rules(), 1);
+        assert_eq!(compiled.report(), naive.report());
+        assert_same_state(&naive.store, &compiled.store, &d, "hetero");
+        assert_eq!(
+            compiled.store.get_state(A),
+            PrimState::Reg(Value::int(32, 15))
+        );
+    }
+
+    #[test]
+    fn source_first_of_an_aggregate_matches_interpreter() {
+        let d = d_word();
+        let first = || call(SRC, PrimMethod::First, vec![]);
+        let x = || var("x");
+        // let x = src.first in
+        //   { a := x[1].im + src.first[0].re; snk.enq(x[0]); src.deq }
+        let body = let_a(
+            "x",
+            first(),
+            seq(vec![
+                wr(
+                    A,
+                    add(
+                        field(index(x(), cint(32, 1)), "im"),
+                        field(index(first(), cint(32, 0)), "re"),
+                    ),
+                ),
+                enq(SNK, index(x(), cint(32, 0))),
+                act(SRC, PrimMethod::Deq, vec![]),
+            ]),
+        );
+        let r = rule(
+            "src_first",
+            when_a(call(SRC, PrimMethod::NotEmpty, vec![]), body),
+        );
+        // Empty source: the guard fails identically.
+        assert_native_parity(&r, &d, |_| {});
+        assert_native_parity(&r, &d, |s| {
+            for k in 0..2 {
+                s.push_source(SRC, Value::Vec(vec![pair_val(k, -k), pair_val(-7 * k, 9)]));
+            }
+        });
     }
 }

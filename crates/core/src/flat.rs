@@ -600,14 +600,12 @@ pub(crate) fn regfile_call_action_log(
 // assume the caller (the lowering pass in `compile.rs`) has proven the
 // accessed span is a leaf of width ≤ 64 inside the element layout.
 
-/// Packs the boxed spill front of a FIFO into a scratch lane and reads a
-/// bit span out of it. Cold: a spill is only ever non-empty after a
-/// failover splice overflows the ring.
-#[cold]
-fn spill_front_bits(p: &FlatPrim, v: &Value, off: u32, width: u32) -> u64 {
-    let mut buf = vec![0u64; p.lane.max(1)];
-    v.write_flat(&mut buf, 0);
-    get_bits(&buf, off as usize, width)
+/// Reads a bit span of a boxed element (a FIFO's spill front, a
+/// source's head) as one word.
+fn boxed_bits(v: &Value, off: u32, width: u32) -> u64 {
+    let mut w = [0u64];
+    v.write_flat_span(off, width, &mut w, 0);
+    w[0]
 }
 
 /// Reads `width` bits at bit `off` of a FIFO's front element.
@@ -632,7 +630,7 @@ pub(crate) fn fifo_first_word(
         ))
     } else {
         match spill.front() {
-            Some(v) => Ok(spill_front_bits(p, v, off, width)),
+            Some(v) => Ok(boxed_bits(v, off, width)),
             None => Err(ExecError::GuardFail),
         }
     }
@@ -667,9 +665,7 @@ pub(crate) fn fifo_first_packed(
     } else {
         match spill.front() {
             Some(v) => {
-                let mut buf = vec![0u64; p.lane.max(1)];
-                v.write_flat(&mut buf, 0);
-                copy_bits(&buf, off as usize, dst, dst_bit, width);
+                v.write_flat_span(off, width, dst, dst_bit);
                 Ok(())
             }
             None => Err(ExecError::GuardFail),
@@ -728,6 +724,65 @@ pub(crate) fn fifo_enq_packed(
     );
     block[1] = (len + 1) as u64;
     Ok(())
+}
+
+/// Word-level read of a boxed source or sink: `first` yields `width`
+/// bits at bit `off` of the source's head value, `notEmpty`/`notFull`
+/// are 1-bit words. Guard failure and error text match
+/// [`PrimState::call_value`].
+pub(crate) fn dyn_value_word(
+    st: &PrimState,
+    m: PrimMethod,
+    off: u32,
+    width: u32,
+) -> ExecResult<u64> {
+    match (st, m) {
+        (PrimState::Source { queue }, PrimMethod::First) => queue
+            .front()
+            .map(|v| boxed_bits(v, off, width))
+            .ok_or(ExecError::GuardFail),
+        (PrimState::Source { queue }, PrimMethod::NotEmpty) => Ok(!queue.is_empty() as u64),
+        (PrimState::Sink { .. }, PrimMethod::NotFull) => Ok(1),
+        (st, m) => Err(value_unsupported(m, st.kind_name())),
+    }
+}
+
+/// Packed read of a source's head: copies `width` bits at bit `off` of
+/// its `write_flat` packing into `dst` at `dst_bit`.
+pub(crate) fn dyn_value_packed(
+    st: &PrimState,
+    m: PrimMethod,
+    off: u32,
+    width: u32,
+    dst: &mut [u64],
+    dst_bit: usize,
+) -> ExecResult<()> {
+    match (st, m) {
+        (PrimState::Source { queue }, PrimMethod::First) => {
+            let v = queue.front().ok_or(ExecError::GuardFail)?;
+            v.write_flat_span(off, width, dst, dst_bit);
+            Ok(())
+        }
+        (st, m) => Err(value_unsupported(m, st.kind_name())),
+    }
+}
+
+/// A sink `enq` from packed bits: decodes the one [`Value`] the sink
+/// stores, through the sink's element layout.
+pub(crate) fn dyn_action_packed(
+    st: &mut PrimState,
+    p: &FlatPrim,
+    m: PrimMethod,
+    src: &[u64],
+    src_bit: usize,
+) -> ExecResult<()> {
+    match (st, m) {
+        (PrimState::Sink { consumed }, PrimMethod::Enq) => {
+            consumed.push(Value::read_flat(&p.layout, src, src_bit));
+            Ok(())
+        }
+        (st, m) => Err(action_unsupported(m, st.kind_name())),
+    }
 }
 
 /// The front wire words of a flat FIFO without decoding to a `Value`:

@@ -235,6 +235,18 @@ impl HwSim {
         self.plans.len()
     }
 
+    /// How many rules run their guard or body on the AST interpreter:
+    /// every rule unless [`HwSim::compiled`] is set over a flat store,
+    /// and otherwise those whose lowering declined. Zero means the
+    /// whole design runs compiled.
+    pub fn interpreted_rules(&self) -> usize {
+        if self.compiled {
+            self.exec.interpreted(&self.plans)
+        } else {
+            self.plans.len()
+        }
+    }
+
     /// Simulates one clock cycle; returns the number of rules fired.
     /// Under event-driven scheduling, a cycle that follows one which
     /// selected no rule costs O(1) until the store is written again.

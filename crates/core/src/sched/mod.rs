@@ -30,8 +30,8 @@ use crate::xform::RulePlan;
 /// lowered once to native closures ([`crate::compile`]); over a tree
 /// store nothing is lowered. Each call runs the native lowering when
 /// `native` is set and one exists, and the AST interpreter otherwise —
-/// every rule on a tree store, and the constructs lowering declines
-/// (`localGuard`, unelaborated names, unbound variables) on a flat one.
+/// every rule on a tree store, and on a flat one the guards and bodies
+/// whose lowering declines (see [`crate::compile`]'s "What declines").
 /// Both paths keep their shadows in one [`TxnLog`] reused by every
 /// firing.
 #[derive(Debug, Default)]
@@ -53,6 +53,19 @@ impl RuleExec {
             frame: NativeFrame::new(),
             log: TxnLog::new(),
         }
+    }
+
+    /// Rules whose guard or body runs on the interpreter: all of them
+    /// when nothing was lowered, else those whose lowering declined.
+    fn interpreted(&self, plans: &[RulePlan]) -> usize {
+        if self.natives.is_empty() {
+            return plans.len();
+        }
+        plans
+            .iter()
+            .zip(&self.natives)
+            .filter(|(p, n)| n.body.is_none() || (p.guard.is_some() && n.guard.is_none()))
+            .count()
     }
 
     fn lowered(natives: &[NativeRule], native: bool, i: usize) -> Option<&NativeRule> {

@@ -271,6 +271,14 @@ impl SwRunner {
         self.plans.len()
     }
 
+    /// How many rules run their guard or body on the AST interpreter:
+    /// every rule unless the runner is compiled over a flat store, and
+    /// otherwise those whose lowering declined. Zero means the whole
+    /// design runs compiled.
+    pub fn interpreted_rules(&self) -> usize {
+        self.exec.interpreted(&self.plans)
+    }
+
     /// The compiled plan for a rule (for inspection/tests).
     pub fn plan(&self, i: usize) -> &RulePlan {
         &self.plans[i]

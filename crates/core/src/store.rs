@@ -501,7 +501,10 @@ impl Store {
     /// - `Fifo` / [`PrimMethod::First`] (guard-fails when empty),
     ///   [`PrimMethod::NotEmpty`] and [`PrimMethod::NotFull`] (0/1,
     ///   `cell`/`off`/`width` ignored);
-    /// - `RegFile` / [`PrimMethod::Sub`] — `cell` is the cell index.
+    /// - `RegFile` / [`PrimMethod::Sub`] — `cell` is the cell index;
+    /// - `Source` / [`PrimMethod::First`] (the head value's packed bits,
+    ///   guard-fails when empty) and [`PrimMethod::NotEmpty`], `Sink` /
+    ///   [`PrimMethod::NotFull`].
     ///
     /// Charges nothing; ports meter their own reads, exactly like
     /// [`Store::call_value_at`]. The compiled backend only emits this for
@@ -573,6 +576,7 @@ impl Store {
                     width,
                 ))
             }
+            (FlatKind::Dyn { idx }, m) => flat::dyn_value_word(&f.dyns[idx], m, off, width),
             _ => Err(ExecError::Type(format!(
                 "word-level {} not supported on {}",
                 m.name(),
@@ -716,6 +720,9 @@ impl Store {
                 );
                 Ok(())
             }
+            (FlatKind::Dyn { idx }, m) => {
+                flat::dyn_value_packed(&f.dyns[idx], m, off, width, dst, dst_bit)
+            }
             _ => Err(ExecError::Type(format!(
                 "word-level {} not supported on {}",
                 m.name(),
@@ -726,7 +733,8 @@ impl Store {
 
     /// Packed-aggregate action: writes the element's `p.layout.width`
     /// packed bits from `src[src_bit..]`. Same coverage, marking, and
-    /// error order as [`Store::call_action_word_at`].
+    /// error order as [`Store::call_action_word_at`], plus a sink's
+    /// `enq`, which decodes the one [`Value`] the sink keeps.
     pub(crate) fn call_action_packed_at(
         &mut self,
         id: PrimId,
@@ -778,6 +786,10 @@ impl Store {
                     p.layout.width,
                 );
                 Ok(())
+            }
+            (FlatKind::Dyn { idx }, m) => {
+                self.ckpt_dirty.mark(meta.n_pages + idx);
+                flat::dyn_action_packed(&mut f.dyns[idx], p, m, src, src_bit)
             }
             _ => Err(ExecError::Type(format!(
                 "word-level {} not supported on {}",
@@ -1625,9 +1637,8 @@ fn cell_view<'a>(
 }
 
 /// Word-level value read against a shadow: the unboxed counterpart of
-/// [`shadow_call_value`]. Only reachable for flat-kind shadows — the
-/// lowering declines word paths for `Dyn` primitives, so a `Tree` shadow
-/// here is a compiler bug, not a runtime condition.
+/// [`shadow_call_value`]. A `Tree` shadow here is a source or sink (the
+/// only boxed primitives of a flat store).
 #[allow(clippy::too_many_arguments)]
 fn shadow_value_word(
     base: &Store,
@@ -1661,7 +1672,8 @@ fn shadow_value_word(
             off as usize,
             width,
         )),
-        _ => unreachable!("word-level read on a boxed shadow"),
+        (Shadow::Tree(st), m) => flat::dyn_value_word(st, m, off, width),
+        _ => unreachable!("word-level read of a method the lowering does not emit"),
     }
 }
 
@@ -1694,7 +1706,8 @@ fn shadow_value_packed(
             copy_bits(lane, off as usize, dst, dst_bit, width);
             Ok(())
         }
-        _ => unreachable!("word-level read on a boxed shadow"),
+        (Shadow::Tree(st), m) => flat::dyn_value_packed(st, m, off, width, dst, dst_bit),
+        _ => unreachable!("packed read of a method the lowering does not emit"),
     }
 }
 
@@ -1775,7 +1788,8 @@ fn shadow_packed_action(
             copy_bits(src, src_bit, &mut words[at..at + p.lane], 0, p.layout.width);
             Ok(())
         }
-        _ => unreachable!("word-level action on a boxed shadow"),
+        (Shadow::Tree(st), m) => flat::dyn_action_packed(st, p, m, src, src_bit),
+        _ => unreachable!("packed action of a method the lowering does not emit"),
     }
 }
 
@@ -2299,33 +2313,6 @@ impl<'s> Txn<'s> {
         self.cost.rollbacks += 1;
         self.log.unwind(0);
         self.cost
-    }
-
-    /// Direct, unshadowed action call against the base store — the §6.3
-    /// fast path for rules whose guards were fully lifted. Only safe when
-    /// the transformation has proven the body cannot fail past this point.
-    pub fn call_action_inplace(
-        store: &mut Store,
-        id: PrimId,
-        m: PrimMethod,
-        args: &[Value],
-        cost: &mut Cost,
-    ) -> ExecResult<()> {
-        cost.writes += 1;
-        store.call_action_at(id, m, args)
-    }
-
-    /// Read-only value-method call against a store (scheduler guard
-    /// evaluation and in-place execution).
-    pub fn call_value_ro(
-        store: &Store,
-        id: PrimId,
-        m: PrimMethod,
-        args: &[Value],
-        cost: &mut Cost,
-    ) -> ExecResult<Value> {
-        cost.reads += 1;
-        store.call_value_at(id, m, args)
     }
 
     /// Number of open frames visible to reads (a stashed parallel branch

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A BCL type. All types are finite and have a known bit width.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,8 +120,9 @@ pub enum LayoutKind {
         len: usize,
         /// Bit stride between consecutive elements (the element width).
         stride: u32,
-        /// Element layout.
-        elem: Box<Layout>,
+        /// Element layout, shared so a sub-layout can be handed out
+        /// without a deep copy.
+        elem: Arc<Layout>,
     },
     /// Record: fields at precomputed bit offsets, declaration order.
     Struct {
@@ -136,8 +138,8 @@ pub struct FieldLayout {
     pub name: String,
     /// Bit offset from the start of the struct.
     pub offset: u32,
-    /// The field's own layout.
-    pub layout: Layout,
+    /// The field's own layout (shared, like a vector's element).
+    pub layout: Arc<Layout>,
 }
 
 impl Layout {
@@ -164,7 +166,7 @@ impl Layout {
                     kind: LayoutKind::Vector {
                         len: *n,
                         stride,
-                        elem: Box::new(elem),
+                        elem: Arc::new(elem),
                     },
                 }
             }
@@ -173,7 +175,7 @@ impl Layout {
                 let fields: Vec<FieldLayout> = fs
                     .iter()
                     .map(|(name, t)| {
-                        let layout = Layout::of(t);
+                        let layout = Arc::new(Layout::of(t));
                         let f = FieldLayout {
                             name: name.clone(),
                             offset,

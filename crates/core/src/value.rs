@@ -520,6 +520,46 @@ impl Value {
         }
     }
 
+    /// Writes the `width` bits at bit `off` of this value's
+    /// [`Value::write_flat`] packing into `dst` at bit `dst_bit`, without
+    /// packing the rest of the value or allocating: how a boxed
+    /// primitive's element (a source's head) is read field by field.
+    /// Bits past the value's own width read as zero.
+    pub(crate) fn write_flat_span(&self, off: u32, width: u32, dst: &mut [u64], dst_bit: usize) {
+        fn walk(v: &Value, pos: &mut usize, lo: usize, hi: usize, dst: &mut [u64], at: usize) {
+            if *pos >= hi {
+                return;
+            }
+            let (w, bits) = match v {
+                Value::Vec(vs) => {
+                    for x in vs {
+                        walk(x, pos, lo, hi, dst, at);
+                    }
+                    return;
+                }
+                Value::Struct(fs) => {
+                    for (_, x) in fs {
+                        walk(x, pos, lo, hi, dst, at);
+                    }
+                    return;
+                }
+                Value::Bool(b) => (1, *b as u64),
+                Value::Bits { width, bits } => (*width as usize, *bits),
+                Value::Int { width, val } => (*width as usize, *val as u64),
+            };
+            let (start, end) = (*pos, *pos + w);
+            *pos = end;
+            let (a, b) = (start.max(lo), end.min(hi));
+            if a < b {
+                let chunk = bits.checked_shr((a - start) as u32).unwrap_or(0);
+                put_bits(dst, at + (a - lo), (b - a) as u32, chunk);
+            }
+        }
+        copy_bits(&[], 0, dst, dst_bit, width);
+        let lo = off as usize;
+        walk(self, &mut 0, lo, lo + width as usize, dst, dst_bit);
+    }
+
     /// Reads a value of the given [`Layout`] out of bit-packed 64-bit
     /// words starting at bit `offset`. The inverse of [`Value::write_flat`]
     /// for well-typed values; integers come back canonically sign-extended

@@ -15,7 +15,9 @@
 //!    compiled backend, and
 //! 4. the compiled N-partition co-simulation under the given fault plan.
 //!
-//! All output streams must equal the spec's gold model bit-for-bit. For
+//! Every compiled run must also lower every rule: an interpreted rule
+//! on the compiled backend ([`SwRunner::interpreted_rules`]) fails the
+//! case. All output streams must equal the spec's gold model bit-for-bit. For
 //! fault-free plans the co-simulation additionally runs on the naive
 //! reference hardware scheduler, and the modeled FPGA cycle counts must
 //! agree exactly.
@@ -53,12 +55,24 @@ fn sink_ints(d: &Design, runner: &SwRunner, path: &str) -> Result<Vec<i64>, Stri
         .collect()
 }
 
+/// Fails when a compiled run left `n` rules to the interpreter.
+fn all_lowered(what: &str, n: usize) -> Result<(), String> {
+    if n == 0 {
+        Ok(())
+    } else {
+        Err(format!("{what}: {n} rules run on the interpreter"))
+    }
+}
+
 fn run_sw(d: &Design, spec: &DesignSpec, backend: ExecBackend) -> Result<SwRunner, String> {
     let opts = SwOptions {
         strategy: Strategy::Dataflow,
         ..backend.sw_options()
     };
     let mut r = SwRunner::new(d, opts);
+    if backend.compiled() {
+        all_lowered("compiled software", r.interpreted_rules())?;
+    }
     let src = d
         .prim_id("src")
         .ok_or_else(|| "design lost its `src` source".to_string())?;
@@ -164,6 +178,9 @@ fn run_case_inner(
         };
         let mut cs = Cosim::multi(&parts, SW, &cfgs, routing, backend.sw_options())
             .map_err(|e| format!("cosim setup: {e}"))?;
+        if backend.compiled() {
+            all_lowered("compiled co-simulation", cs.interpreted_rules())?;
+        }
         if let Some(p) = plan.recovery() {
             cs.set_recovery_policy(p);
         }
@@ -180,6 +197,13 @@ fn run_case_inner(
                 "cosim did not deliver all {n} outputs within {COSIM_BUDGET} cycles (got {})",
                 cs.sink_count("snk")
             ));
+        }
+        if backend.compiled() {
+            // A failover rebuilds the software runner over a fused design.
+            all_lowered(
+                "compiled co-simulation after the run",
+                cs.interpreted_rules(),
+            )?;
         }
         let got: Vec<i64> = cs
             .sink_values("snk")
@@ -262,6 +286,22 @@ mod tests {
             }),
         };
         run_case(&spec(), &plan).unwrap();
+    }
+
+    /// The aggregate transform at 63 and 64 bits, wrapped in a
+    /// submodule and split across partitions: packed regions wider than
+    /// one word on every compiled leg.
+    #[test]
+    fn wide_aggregate_case_passes() {
+        for width in [63, 64] {
+            let mut s = spec();
+            s.width = width;
+            s.stages[0].transform = Transform::AggLet(3);
+            s.stages[1].transform = Transform::AggLet(120);
+            s.wrap_stage = Some(0);
+            s.items = vec![0, 1, 2, 3, 119, 120, 127];
+            run_case(&s, &FaultPlan::quiet()).unwrap();
+        }
     }
 
     #[test]

@@ -55,6 +55,11 @@ pub enum Transform {
     VecSelect,
     /// `y = {a: x, b: x ^ c}.b` — exercises `MkStruct` and `Field`.
     StructField(u8),
+    /// `let v = (x < c) ? {a: [x, x ^ c], b: x + 1} : {a: [x - 1, x], b: x}
+    /// in v.a[x & 1] + v.b` — exercises `Cond` of aggregates, a let-bound
+    /// struct holding a vector, and (at widths above 32) packed regions
+    /// wider than one word.
+    AggLet(u8),
     /// Stateful: a register accumulator cycling 0..limit, added to each
     /// item by a `work` rule; a guard-disjoint `flush` rule resets it.
     /// Exercises rule pairs with complementary guards.
@@ -79,7 +84,7 @@ pub struct StageSpec {
 /// never loses test-bench data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignSpec {
-    /// Scalar width of every value in the design (8, 16, or 32).
+    /// Scalar width of every value in the design (8, 16, 32, 63 or 64).
     pub width: u32,
     /// Channel/FIFO depth (1..=3).
     pub depth: usize,
@@ -273,6 +278,24 @@ fn stateless_expr(t: Transform, w: u32, x: Expr) -> Expr {
             mkstruct(vec![("a", x.clone()), ("b", xor(x, cint(w, i64::from(c))))]),
             "b",
         ),
+        Transform::AggLet(c) => {
+            let c = cint(w, i64::from(c));
+            let one = || cint(w, 1);
+            let arm =
+                |a0: Expr, a1: Expr, b: Expr| mkstruct(vec![("a", mkvec(vec![a0, a1])), ("b", b)]);
+            let_e(
+                "v",
+                cond(
+                    lt(x.clone(), c.clone()),
+                    arm(x.clone(), xor(x.clone(), c), add(x.clone(), one())),
+                    arm(sub_e(x.clone(), one()), x.clone(), x.clone()),
+                ),
+                add(
+                    index(field(var("v"), "a"), and(x, one())),
+                    field(var("v"), "b"),
+                ),
+            )
+        }
         Transform::AccAdd(_) | Transform::RegFileMix(_) => {
             unreachable!("stateful transforms have no pure expression form")
         }
@@ -474,6 +497,15 @@ fn apply_stateless(t: Transform, w: u32, x: i64) -> i64 {
             }
         }
         Transform::StructField(c) => norm(w, x ^ i64::from(c)),
+        Transform::AggLet(c) => {
+            let c = norm(w, i64::from(c));
+            let (a, b) = if x < c {
+                ([x, norm(w, x ^ c)], norm(w, x.wrapping_add(1)))
+            } else {
+                ([norm(w, x.wrapping_sub(1)), x], x)
+            };
+            norm(w, a[(x & 1) as usize].wrapping_add(b))
+        }
         Transform::AccAdd(_) | Transform::RegFileMix(_) => unreachable!("stateful"),
     }
 }
@@ -545,6 +577,7 @@ fn arb_transform() -> BoxedStrategy<Transform> {
         (0u8..128).prop_map(Transform::Ternary),
         Just(Transform::VecSelect),
         (0u8..128).prop_map(Transform::StructField),
+        (0u8..128).prop_map(Transform::AggLet),
         (1u8..5).prop_map(Transform::AccAdd),
         (0u8..12).prop_map(Transform::RegFileMix),
     ]
@@ -559,7 +592,7 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
 /// Strategy over whole design specs.
 pub fn arb_design() -> BoxedStrategy<DesignSpec> {
     (
-        0u32..3,                                     // width selector
+        0u32..5,                                     // width selector
         1usize..4,                                   // depth
         pvec(arb_stage(), 1..5),                     // stages
         proptest::option::of(0usize..DOMAINS.len()), // diamond
@@ -567,7 +600,7 @@ pub fn arb_design() -> BoxedStrategy<DesignSpec> {
         pvec(0i64..128, 1..11),                      // items
     )
         .prop_map(|(wsel, depth, stages, diamond, wrap, items)| {
-            let width = [8u32, 16, 32][wsel as usize];
+            let width = [8u32, 16, 32, 63, 64][wsel as usize];
             // Only wrap a stage that exists and is stateless.
             let wrap_stage = wrap.filter(|&i| {
                 stages
@@ -669,11 +702,51 @@ mod tests {
 
     #[test]
     fn norm_mirrors_value_int() {
-        for w in [8u32, 16, 32] {
+        for w in [8u32, 16, 32, 63, 64] {
             for v in [-300i64, -1, 0, 1, 127, 128, 255, 65535, 1 << 40] {
                 let got = norm(w, v);
                 let want = Value::int(w, v).as_int().unwrap();
                 assert_eq!(got, want, "norm({w}, {v})");
+            }
+        }
+    }
+
+    /// Every stateless transform's expression, run on the interpreter,
+    /// equals its gold-model arm at every generated width, including the
+    /// wrap-around edges of 63 and 64 bits.
+    #[test]
+    fn stateless_exprs_match_gold_model_at_every_width() {
+        use bcl_core::exec::{eval, Env};
+        use bcl_core::store::{ShadowPolicy, Store, Txn, TxnLog};
+        let transforms = [
+            Transform::AddConst(127),
+            Transform::SubConst(5),
+            Transform::XorConst(99),
+            Transform::MulConst(15),
+            Transform::ShiftLeft(7),
+            Transform::ShiftRight(3),
+            Transform::Ternary(64),
+            Transform::VecSelect,
+            Transform::StructField(33),
+            Transform::AggLet(0),
+            Transform::AggLet(64),
+            Transform::AggLet(127),
+        ];
+        let design = bcl_core::design::Design::default();
+        let mut store = Store::new(&design);
+        for w in [8u32, 16, 32, 63, 64] {
+            for v in [0i64, 1, 63, 64, 127, -1, -128, i64::MAX, i64::MIN, 1 << 62] {
+                let x = norm(w, v);
+                for t in transforms {
+                    let mut log = TxnLog::new();
+                    let mut txn = Txn::new(&mut store, &mut log, ShadowPolicy::Partial);
+                    let mut env = Env::new();
+                    env.push("x", Value::int(w, x));
+                    let got = eval(&mut txn, &mut env, &stateless_expr(t, w, var("x")))
+                        .and_then(|v| v.as_int())
+                        .unwrap();
+                    assert_eq!(got, apply_stateless(t, w, x), "{t:?} at width {w} on {x}");
+                }
             }
         }
     }

@@ -1372,6 +1372,18 @@ impl Cosim {
         self.parts_list.len()
     }
 
+    /// Rules of the software runner and of every hardware partition that
+    /// run their guard or body on the AST interpreter (see
+    /// [`SwRunner::interpreted_rules`] and [`HwSim::interpreted_rules`]).
+    pub fn interpreted_rules(&self) -> usize {
+        self.sw.interpreted_rules()
+            + self
+                .parts_list
+                .iter()
+                .map(|p| p.hw.interpreted_rules())
+                .sum::<usize>()
+    }
+
     /// The hardware partitions' domains, in execution order.
     pub fn hw_domains(&self) -> Vec<&str> {
         self.parts_list.iter().map(|p| p.domain.as_str()).collect()

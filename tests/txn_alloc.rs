@@ -14,6 +14,11 @@
 //!
 //! An idle co-simulated cycle — an accelerator with nothing to fire and
 //! a transactor with nothing to move — must not touch the heap either.
+//!
+//! The all-software Vorbis decoder moves 64-element vectors of complex
+//! structs through every rule; run compiled, its rules work on packed
+//! frame regions, and the only allocations left per frame are the
+//! decoded output the sink keeps and the growth of the sink's list.
 
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
@@ -26,6 +31,8 @@ use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::xform::ExecMode;
 use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
+use bcl_vorbis::frames::frame_stream;
+use bcl_vorbis::partitions::{build_cosim as vorbis_build_cosim, VorbisPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -267,4 +274,30 @@ fn idle_cosim_step_allocates_nothing() {
         "an idle cycle evaluated a guard"
     );
     assert_eq!(allocs, 0, "1000 idle Cosim::step calls allocated");
+}
+
+/// Frames decoded by the Vorbis allocation check.
+const VORBIS_FRAMES: usize = 16;
+
+#[test]
+fn vorbis_software_run_allocates_only_the_sink_output() {
+    // All frames are queued while the system is built, outside the
+    // measured window; the window is the run to the last frame.
+    let frames = frame_stream(VORBIS_FRAMES, 11);
+    let mut cosim = vorbis_build_cosim(VorbisPartition::F, &frames, ExecBackend::Compiled).unwrap();
+    assert_eq!(cosim.interpreted_rules(), 0);
+    let mut done = false;
+    let allocs = allocs_during(|| {
+        done = cosim
+            .run_until(|c| c.sink_count("audioDev") == VORBIS_FRAMES, 100_000_000)
+            .unwrap()
+            .is_done();
+    });
+    assert!(done, "the decoder did not finish");
+    // Per frame: the PCM vector the sink stores, plus an amortized share
+    // of the sink list's growth and of the first firings' scratch growth.
+    assert!(
+        allocs <= 8 * VORBIS_FRAMES as u64,
+        "{allocs} allocations for {VORBIS_FRAMES} frames"
+    );
 }
