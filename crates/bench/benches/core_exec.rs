@@ -34,7 +34,7 @@ fn bench_exec(c: &mut Criterion) {
 
     g.bench_function("sw_inplace_1000_firings", |b| {
         b.iter(|| {
-            let mut r = SwRunner::new(&d, SwOptions::default());
+            let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
             black_box(r.run_until_quiescent(1000).unwrap())
         })
     });
@@ -47,7 +47,7 @@ fn bench_exec(c: &mut Criterion) {
             ..Default::default()
         };
         b.iter(|| {
-            let mut r = SwRunner::new(&d, opts);
+            let mut r = SwRunner::new(&d, opts).unwrap();
             black_box(r.run_until_quiescent(1000).unwrap())
         })
     });
@@ -91,7 +91,8 @@ fn bench_exec(c: &mut Criterion) {
                     strategy: Strategy::Dataflow,
                     ..Default::default()
                 },
-            );
+            )
+            .unwrap();
             black_box(r.run_until_quiescent(10_000).unwrap())
         })
     });

@@ -100,7 +100,7 @@ pub fn vorbis_sw_ablation(opts: SwOptions, n: usize, seed: u64) -> AblationRow {
     for f in frame_stream(n, seed) {
         store.push_source(src, frame_value(&f));
     }
-    let mut runner = SwRunner::with_store(&design, store, opts);
+    let mut runner = SwRunner::with_store(&design, store, opts).expect("lowers");
     runner.run_until_quiescent(100_000_000).expect("runs");
     let snk = design.prim_id("audioDev").expect("sink");
     assert_eq!(

@@ -501,7 +501,7 @@ mod tests {
             ),
         );
         let d = elaborate(&Program::with_root(m.build())).unwrap();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         let fired = r.run_until_quiescent(100).unwrap();
         assert_eq!(fired, 3, "rule self-disables at 3");
     }
@@ -551,7 +551,7 @@ mod tests {
         m.rule("seed", enq("a", cint(8, 7)));
         m.rule("move", with_first("x", "a", enq("b", var("x"))));
         let d = elaborate(&Program::with_root(m.build())).unwrap();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         r.run_until_quiescent(5).unwrap();
         let b = d.prim_id("b").unwrap();
         assert_eq!(
@@ -596,7 +596,7 @@ mod tests {
         let mut p = Program::with_root(outer.build());
         p.add_module(inner.build());
         let d = elaborate(&p).unwrap();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         r.run_until_quiescent(10).unwrap();
         let out = d.prim_id("out").unwrap();
         assert_eq!(

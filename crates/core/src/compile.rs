@@ -36,22 +36,26 @@
 //! enqueues and updates hand over the element's packed bits. The one
 //! [`Value`] a lowered rule builds is the element a sink keeps.
 //!
-//! ## What declines
+//! ## What is rejected
 //!
-//! Lowering is all-or-nothing per guard and per body: what it cannot
-//! prove charge- and result-identical makes it return `None`, and the
-//! scheduler runs the AST interpreter for that guard or body. That is
-//! `localGuard`, unelaborated `Named` targets, unbound variables, and
-//! shapes the interpreter would reject or reshape at run time: a non-Bool
-//! condition or guard, `Cond` arms or vector elements of unequal layouts,
-//! an empty vector, an update whose new element or field has another
-//! layout, arithmetic on an aggregate, a method the primitive does not
-//! have, a payload whose width is not the primitive's, and an aggregate
-//! constant that does not decode back to itself.
+//! Lowering is total: a scheduler that lowers its rules (a compiled
+//! `SwRunner`, or any `HwSim`, over a flat store) lowers every one of
+//! them, or it is not built. [`compile_plans`] refuses a design, with
+//! an [`ElabError`] naming the rule and whether its guard or its body
+//! failed, when a rule holds something it cannot prove charge- and
+//! result-identical to the interpreter: an unelaborated `Named` target,
+//! an unbound variable, or a shape the interpreter would reject or
+//! reshape at run time — a non-Bool condition or guard, `Cond` arms or
+//! vector elements of unequal layouts, an empty vector, an update whose
+//! new element or field has another layout, arithmetic on an aggregate,
+//! a method the primitive does not have, a payload whose width is not
+//! the primitive's, and an aggregate constant that does not decode back
+//! to itself. A well-typed elaborated design holds none of these; the
+//! AST interpreter stays only as the reference oracle.
 
 use crate::ast::{Action, Expr, PrimId, PrimMethod, Target};
 use crate::design::Design;
-use crate::error::{ExecError, ExecResult};
+use crate::error::{ElabError, ExecError, ExecResult};
 use crate::exec::RuleOutcome;
 use crate::prim::PrimSpec;
 use crate::store::{Cost, ShadowPolicy, Store, Txn, TxnLog};
@@ -480,6 +484,38 @@ impl NativePort<'_> {
         }
     }
 
+    /// Opens a `localGuard`'s discardable frame and returns its index,
+    /// as the interpreter's `push_frame` does; only a transaction that
+    /// can roll back has one.
+    fn local_guard_start(&mut self) -> ExecResult<usize> {
+        match self {
+            NativePort::Txn(t) if t.policy != ShadowPolicy::InPlace => Ok(t.push_frame()),
+            _ => Err(ExecError::Malformed(
+                "localGuard reached an in-place (guard-lifted) execution".into(),
+            )),
+        }
+    }
+
+    /// Closes a `localGuard`'s frame given its body's result: merged
+    /// into its parent on success; on failure discarded, with every
+    /// frame a failing `Par` left above it and one rollback charged, a
+    /// guard failure absorbed and any other error passed on.
+    fn local_guard_end(&mut self, at: usize, r: ExecResult<()>) -> ExecResult<()> {
+        let NativePort::Txn(t) = self else {
+            return r;
+        };
+        match r {
+            Ok(()) => t.pop_merge(),
+            Err(e) => {
+                t.discard_from(at);
+                match e {
+                    ExecError::GuardFail => Ok(()),
+                    e => Err(e),
+                }
+            }
+        }
+    }
+
     fn par_end(&mut self) -> ExecResult<()> {
         match self {
             NativePort::Txn(t) => t.par_end(),
@@ -517,14 +553,13 @@ impl fmt::Debug for CompiledAction {
     }
 }
 
-/// A [`RulePlan`] lowered to native closures. `None` components fall back
-/// to the AST interpreter.
-#[derive(Debug, Default)]
+/// A [`RulePlan`] lowered to native closures.
+#[derive(Debug)]
 pub struct NativeRule {
-    /// The lifted guard, when present and compilable.
+    /// The lifted guard: `Some` exactly when the plan has one.
     pub guard: Option<CompiledExpr>,
-    /// The rule body, when compilable.
-    pub body: Option<CompiledAction>,
+    /// The rule body.
+    pub body: CompiledAction,
 }
 
 /// Compile-time lexical scope: let-bound names resolved to bindings,
@@ -1330,10 +1365,14 @@ impl<'d> Lowerer<'d> {
                     p.par_end()
                 })
             }
-            // localGuard absorbs guard failures into a discardable frame,
-            // which needs catch semantics the closure chain does not model;
-            // it stays on the interpreter.
-            Action::LocalGuard(..) => return None,
+            Action::LocalGuard(x) => {
+                let x = self.action(x)?;
+                Box::new(move |p, f| {
+                    let at = p.local_guard_start()?;
+                    let r = x(p, f);
+                    p.local_guard_end(at, r)
+                })
+            }
         })
     }
 }
@@ -1373,7 +1412,7 @@ fn prim_target(t: &Target) -> Option<(PrimId, PrimMethod)> {
 }
 
 /// Lowers a guard to a closure returning its verdict as a word, or
-/// `None` when the guard declines (see the module docs).
+/// `None` when the guard is rejected (see the module docs).
 fn compile_expr(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
     let mut l = Lowerer::new(infos);
     let eval = l.cond(e)?;
@@ -1383,7 +1422,8 @@ fn compile_expr(e: &Expr, infos: &[PrimInfo]) -> Option<CompiledExpr> {
     })
 }
 
-/// Lowers a rule body, or `None` when it declines (see the module docs).
+/// Lowers a rule body, or `None` when it is rejected (see the module
+/// docs).
 fn compile_action(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
     let mut l = Lowerer::new(infos);
     let thunk = l.action(a)?;
@@ -1393,17 +1433,31 @@ fn compile_action(a: &Action, infos: &[PrimInfo]) -> Option<CompiledAction> {
     })
 }
 
-fn compile_plan(plan: &RulePlan, infos: &[PrimInfo]) -> NativeRule {
-    NativeRule {
-        guard: plan.guard.as_ref().and_then(|g| compile_expr(g, infos)),
-        body: compile_action(&plan.body, infos),
-    }
+fn compile_plan(plan: &RulePlan, infos: &[PrimInfo]) -> Result<NativeRule, ElabError> {
+    let rejected = |part: &str| {
+        ElabError::new(format!(
+            "rule `{}`: its {part} does not lower to native code (an unelaborated \
+             target, an unbound variable, or an ill-typed or shape-changing expression)",
+            plan.name
+        ))
+    };
+    let guard = match &plan.guard {
+        Some(g) => Some(compile_expr(g, infos).ok_or_else(|| rejected("guard"))?),
+        None => None,
+    };
+    let body = compile_action(&plan.body, infos).ok_or_else(|| rejected("body"))?;
+    Ok(NativeRule { guard, body })
 }
 
 /// Lowers every plan of a design to native closures for a flat-arena
 /// store. The design supplies the primitive element layouts the packed
 /// representation is built from (see the module docs).
-pub fn compile_plans(plans: &[RulePlan], design: &Design) -> Vec<NativeRule> {
+///
+/// # Errors
+///
+/// Names the first rule whose guard or body does not lower (see the
+/// module docs' "What is rejected").
+pub fn compile_plans(plans: &[RulePlan], design: &Design) -> Result<Vec<NativeRule>, ElabError> {
     let infos = prim_infos(design);
     plans.iter().map(|p| compile_plan(p, &infos)).collect()
 }
@@ -1484,13 +1538,13 @@ mod tests {
     use super::*;
     use crate::ast::{Path, PrimId, PrimMethod, RuleDef};
     use crate::builder::dsl::{
-        add, and, cint, cond, eq, field, gt, index, let_a, loop_a, lt, mkstruct, mkvec, ne, par,
-        seq, sub_e, upd_field, upd_index, var, when_a, when_e,
+        add, and, cint, cond, eq, field, gt, index, let_a, local_guard, loop_a, lt, mkstruct,
+        mkvec, ne, par, seq, sub_e, upd_field, upd_index, var, when_a, when_e,
     };
     use crate::design::{Design, PrimDef};
     use crate::exec::{eval_guard_ro, run_rule, run_rule_inplace};
     use crate::prim::{PrimSpec, PrimState};
-    use crate::sched::{ExecBackend, SwRunner};
+    use crate::sched::{ExecBackend, HwSim, SwRunner};
     use crate::types::Type;
     use crate::xform::{compile_rule, CompileOpts, ExecMode};
 
@@ -1569,7 +1623,7 @@ mod tests {
     /// cost counters.
     fn assert_native_parity(rule: &RuleDef, design: &Design, setup: impl Fn(&mut Store)) {
         let plan = compile_rule(rule, CompileOpts::default());
-        let native = compile_plan(&plan, &prim_infos(design));
+        let native = compile_plan(&plan, &prim_infos(design)).expect("rule lowers");
         let mut s_ast = Store::new(design);
         setup(&mut s_ast);
         let mut s_nat = Store::new_flat(design);
@@ -1584,13 +1638,12 @@ mod tests {
             assert_eq!(v_ast, v_nat, "guard verdict for {}", rule.name);
             assert_eq!(c_ast, c_nat, "guard cost for {}", rule.name);
         }
-        let cb = native.body.as_ref().expect("body compiles natively");
         let (out_ast, cost_ast) = run_rule(&mut s_ast, &plan.body, ShadowPolicy::Partial).unwrap();
         let (out_nat, cost_nat) = run_rule_native(
             &mut frame,
             &mut TxnLog::new(),
             &mut s_nat,
-            cb,
+            &native.body,
             ShadowPolicy::Partial,
         )
         .unwrap();
@@ -1616,17 +1669,39 @@ mod tests {
         assert_eq!(format!("{err_nat}"), format!("{err_ast}"));
     }
 
+    /// A body run as written, without lifting: native on a flat store
+    /// against the interpreter on a tree store, in outcome, cost and
+    /// state.
+    fn assert_body_parity(body: &Action, design: &Design, setup: impl Fn(&mut Store)) {
+        let cb = compile_action(body, &prim_infos(design)).expect("body compiles natively");
+        let mut s_ast = Store::new(design);
+        setup(&mut s_ast);
+        let mut s_nat = Store::new_flat(design);
+        setup(&mut s_nat);
+        let ast = run_rule(&mut s_ast, body, ShadowPolicy::Partial).unwrap();
+        let nat = run_rule_native(
+            &mut NativeFrame::new(),
+            &mut TxnLog::new(),
+            &mut s_nat,
+            &cb,
+            ShadowPolicy::Partial,
+        )
+        .unwrap();
+        assert_eq!(ast, nat, "outcome and cost of {body:?}");
+        assert_same_state(&s_ast, &s_nat, design, "localGuard");
+    }
+
     /// In-place parity for fully lifted rules: native on flat against the
     /// interpreter on tree.
     fn assert_inplace_parity(rule: &RuleDef, design: &Design) {
         let plan = compile_rule(rule, CompileOpts::default());
         assert_eq!(plan.mode, ExecMode::InPlace, "{} must lift", rule.name);
-        let native = compile_plan(&plan, &prim_infos(design));
-        let cb = native.body.as_ref().expect("body compiles natively");
+        let native = compile_plan(&plan, &prim_infos(design)).expect("rule lowers");
         let mut s_ast = Store::new(design);
         let mut s_nat = Store::new_flat(design);
         let c_ast = run_rule_inplace(&mut s_ast, &plan.body).unwrap();
-        let c_nat = run_rule_inplace_native(&mut NativeFrame::new(), &mut s_nat, cb).unwrap();
+        let c_nat =
+            run_rule_inplace_native(&mut NativeFrame::new(), &mut s_nat, &native.body).unwrap();
         assert_eq!(c_ast, c_nat, "in-place cost for {}", rule.name);
         assert_same_state(&s_ast, &s_nat, design, &rule.name);
     }
@@ -1720,6 +1795,67 @@ mod tests {
         // native backend executes in place.
         let lg = Action::LocalGuard(Box::new(enq(F, cint(32, 1))));
         assert_inplace_parity(&rule("lg", lg), &d);
+    }
+
+    #[test]
+    fn local_guard_matches_interpreter() {
+        let d = d3();
+        let set_a =
+            |v: i64| move |s: &mut Store| put(s, A, PrimMethod::RegWrite, Value::int(32, v));
+        // localGuard { a := a + 1; when a < 3: f.enq(a) }; b := a + 10.
+        // The guard reads the body's own write, so it stays inside the
+        // frame: it commits from a = 0 and is discarded from a = 5, and
+        // the rule goes on either way.
+        let body = seq(vec![
+            local_guard(seq(vec![
+                wr(A, add(rd(A), cint(32, 1))),
+                when_a(lt(rd(A), cint(32, 3)), enq(F, rd(A))),
+            ])),
+            wr(B, add(rd(A), cint(32, 10))),
+        ]);
+        assert_body_parity(&body, &d, set_a(0));
+        assert_body_parity(&body, &d, set_a(5));
+        // A failing parallel branch leaves its frames open above the
+        // localGuard's; all of them are discarded, whichever branch fails.
+        for (x, y) in [(Expr::f(), Expr::t()), (Expr::t(), Expr::f())] {
+            let body = seq(vec![
+                local_guard(par(vec![
+                    when_a(x, wr(A, cint(32, 1))),
+                    when_a(y, wr(B, cint(32, 2))),
+                ])),
+                enq(F, add(rd(A), rd(B))),
+            ]);
+            assert_body_parity(&body, &d, set_a(7));
+        }
+        // Nested in a Loop: while b < 4 { b := b + 1; localGuard
+        // { f.enq(b); when b != 2 } } discards b = 2 and, once f is
+        // full, b = 4.
+        let body = loop_a(
+            lt(rd(B), cint(32, 4)),
+            seq(vec![
+                wr(B, add(rd(B), cint(32, 1))),
+                local_guard(seq(vec![
+                    enq(F, rd(B)),
+                    when_a(ne(rd(B), cint(32, 2)), Action::NoAction),
+                ])),
+            ]),
+        );
+        assert_body_parity(&body, &d, |_| {});
+        // Nested localGuards: the inner one fails, the outer one commits.
+        let body = local_guard(seq(vec![
+            wr(A, cint(32, 4)),
+            local_guard(when_a(Expr::f(), wr(B, cint(32, 1)))),
+        ]));
+        assert_body_parity(&body, &d, |_| {});
+        // Any error other than a guard failure propagates.
+        let double = local_guard(par(vec![wr(A, cint(32, 1)), wr(A, cint(32, 2))]));
+        assert_error_parity(&double, &d);
+        // In place there is no frame to discard: both refuse it.
+        let cb = compile_action(&double, &prim_infos(&d)).unwrap();
+        let e_nat = run_rule_inplace_native(&mut NativeFrame::new(), &mut Store::new_flat(&d), &cb)
+            .unwrap_err();
+        let e_ast = run_rule_inplace(&mut Store::new(&d), &double).unwrap_err();
+        assert_eq!(format!("{e_nat}"), format!("{e_ast}"));
     }
 
     #[test]
@@ -1895,66 +2031,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lowering_declines_what_only_the_interpreter_handles() {
-        // The complete list of constructs left to the interpreter (the
-        // module docs' "What declines"); everything else lowers.
-        let infos = prim_infos(&d_word());
-        let body = |a: Action| compile_action(&a, &infos).is_none();
-        let guard = |e: Expr| compile_expr(&e, &infos).is_none();
+    /// One rule per shape the module docs' "What is rejected" lists,
+    /// named after it, with the part that does not lower.
+    fn rejected_rules() -> Vec<(RuleDef, &'static str)> {
+        let guarded = |name: &str, g: Expr| (rule(name, when_a(g, Action::NoAction)), "guard");
+        let body = |name: &str, a: Action| (rule(name, a), "body");
         let at0 = |v: Expr| wr(A, index(v, cint(32, 0)));
         let hetero = vec![Value::int(32, 1), Value::bits(32, 2)];
         let no = || Action::NoAction;
-        let declined = [
-            ("localGuard", body(Action::LocalGuard(Box::new(no())))),
-            (
-                "unelaborated target",
-                body(Action::Call(
-                    Target::Named("x".into(), "enq".into()),
-                    vec![],
-                )),
+        vec![
+            body(
+                "unelaborated_target",
+                Action::Call(Target::Named("x".into(), "enq".into()), vec![]),
             ),
-            ("unbound variable", guard(var("nope"))),
-            ("non-Bool guard", guard(rd(A))),
-            (
-                "non-Bool condition",
-                body(Action::If(Box::new(rd(A)), Box::new(no()), Box::new(no()))),
+            guarded("unbound_variable", var("nope")),
+            guarded("non_bool_guard", rd(A)),
+            body(
+                "non_bool_condition",
+                Action::If(Box::new(rd(A)), Box::new(no()), Box::new(no())),
             ),
-            (
-                "vector elements of unequal layouts",
-                body(at0(mkvec(
-                    hetero.iter().cloned().map(Expr::Const).collect(),
-                ))),
+            body(
+                "unequal_vector_elements",
+                at0(mkvec(hetero.iter().cloned().map(Expr::Const).collect())),
             ),
-            ("empty vector", body(at0(mkvec(vec![])))),
-            (
-                "Cond arms of unequal layouts",
-                body(wr(
+            body("empty_vector", at0(mkvec(vec![]))),
+            body(
+                "unequal_cond_arms",
+                wr(
                     S,
                     cond(Expr::t(), rd(S), mkstruct(vec![("re", cint(32, 1))])),
-                )),
+                ),
             ),
+            body(
+                "update_of_another_layout",
+                wr(V, upd_index(rd(V), cint(32, 0), cint(16, 1))),
+            ),
+            body("aggregate_arithmetic", wr(S, add(rd(S), rd(S)))),
+            // Lifting hoists the enq's implicit `notFull` guard, which a
+            // register lacks too, so the guard is what fails first.
             (
-                "update with an element of another layout",
-                body(wr(V, upd_index(rd(V), cint(32, 0), cint(16, 1)))),
+                rule("missing_method", act(A, PrimMethod::Enq, vec![cint(32, 1)])),
+                "guard",
             ),
-            ("arithmetic on an aggregate", body(wr(S, add(rd(S), rd(S))))),
-            (
-                "a method the primitive lacks",
-                body(act(A, PrimMethod::Enq, vec![cint(32, 1)])),
+            body("payload_of_another_width", wr(A, cint(16, 1))),
+            body(
+                "non_canonical_constant",
+                at0(Expr::Const(Value::Vec(hetero))),
             ),
-            ("payload of another width", body(wr(A, cint(16, 1)))),
-            (
-                "aggregate constant that does not decode back to itself",
-                body(at0(Expr::Const(Value::Vec(hetero)))),
-            ),
-        ];
-        for (what, declines) in declined {
-            assert!(declines, "{what} should stay on the interpreter");
+        ]
+    }
+
+    #[test]
+    fn lowering_rejects_what_only_the_interpreter_handles() {
+        let d = d_word();
+        let rejected = rejected_rules();
+        assert_eq!(rejected.len(), 12);
+        for (r, part) in rejected {
+            let plans = [compile_rule(&r, CompileOpts::default())];
+            let err = compile_plans(&plans, &d).unwrap_err();
+            let want = format!("rule `{}`: its {part} does not lower", r.name);
+            assert!(err.message().starts_with(&want), "{err}");
         }
         // The same shapes, well-typed, lower.
-        assert!(!body(at0(mkvec(vec![cint(32, 1), cint(32, 2)]))));
-        assert!(!guard(eq(rd(S), mkpair(1, 2))));
+        let infos = prim_infos(&d);
+        let at0 = wr(A, index(mkvec(vec![cint(32, 1), cint(32, 2)]), cint(32, 0)));
+        assert!(compile_action(&at0, &infos).is_some());
+        assert!(compile_expr(&eq(rd(S), mkpair(1, 2)), &infos).is_some());
+    }
+
+    /// A compiled scheduler over a flat store refuses every rejected
+    /// shape when it is built, naming the rule; the reference backend
+    /// still builds a runner for it.
+    #[test]
+    fn compiled_schedulers_refuse_what_does_not_lower() {
+        for (r, part) in rejected_rules() {
+            let mut d = d_word();
+            d.rules.push(r);
+            let name = &d.rules[0].name;
+            let want = format!("rule `{name}`: its {part} does not lower");
+            let sw = SwRunner::new(&d, ExecBackend::Compiled.sw_options()).unwrap_err();
+            assert!(sw.message().starts_with(&want), "{sw}");
+            let hw = HwSim::with_store(&d, Store::new_flat(&d)).unwrap_err();
+            assert!(hw.message().starts_with(&want), "{hw}");
+            SwRunner::new(&d, ExecBackend::Naive.sw_options()).unwrap();
+            HwSim::with_store(&d, Store::new(&d)).unwrap();
+        }
     }
 
     #[test]
@@ -2034,26 +2195,23 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_vector_falls_back_and_matches() {
+    fn heterogeneous_vector_is_refused_compiled_and_runs_on_the_reference() {
         let mut d = d_word();
         let hetero = mkvec(vec![cint(32, 5), Expr::Const(Value::bits(32, 6))]);
         let body = wr(A, add(rd(A), index(hetero, cint(32, 0))));
         d.rules.push(rule("hetero", body));
-        let run = |backend: ExecBackend| {
-            let mut r = SwRunner::new(&d, backend.sw_options());
-            for _ in 0..3 {
-                assert!(r.try_rule(0).unwrap());
-            }
-            r
-        };
-        let (compiled, naive) = (run(ExecBackend::Compiled), run(ExecBackend::Naive));
-        assert_eq!(compiled.interpreted_rules(), 1);
-        assert_eq!(compiled.report(), naive.report());
-        assert_same_state(&naive.store, &compiled.store, &d, "hetero");
-        assert_eq!(
-            compiled.store.get_state(A),
-            PrimState::Reg(Value::int(32, 15))
+        let err = SwRunner::new(&d, ExecBackend::Compiled.sw_options()).unwrap_err();
+        assert!(
+            err.message()
+                .starts_with("rule `hetero`: its body does not lower"),
+            "{err}"
         );
+        let mut naive = SwRunner::new(&d, ExecBackend::Naive.sw_options()).unwrap();
+        for _ in 0..3 {
+            assert!(naive.try_rule(0).unwrap());
+        }
+        assert_eq!(naive.interpreted_rules(), 1);
+        assert_eq!(naive.store.get_state(A), PrimState::Reg(Value::int(32, 15)));
     }
 
     #[test]

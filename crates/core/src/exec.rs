@@ -232,15 +232,15 @@ pub fn exec(txn: &mut Txn<'_>, env: &mut Env, a: &Action) -> ExecResult<()> {
                     "localGuard reached an in-place (guard-lifted) execution".into(),
                 ));
             }
-            txn.push_frame();
+            let at = txn.push_frame();
             match exec(txn, env, x) {
                 Ok(()) => txn.pop_merge(),
                 Err(ExecError::GuardFail) => {
-                    txn.pop_discard();
+                    txn.discard_from(at);
                     Ok(())
                 }
                 Err(e) => {
-                    txn.pop_discard();
+                    txn.discard_from(at);
                     Err(e)
                 }
             }

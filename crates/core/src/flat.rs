@@ -28,7 +28,7 @@ use crate::design::Design;
 use crate::error::{ExecError, ExecResult};
 use crate::prim::{PrimSpec, PrimState};
 use crate::types::{Layout, Type};
-use crate::value::{copy_bits, flat_to_wire, get_bits, put_bits, Value};
+use crate::value::{copy_bits, flat_to_wire_in, get_bits, put_bits, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -785,18 +785,25 @@ pub(crate) fn dyn_action_packed(
     }
 }
 
-/// The front wire words of a flat FIFO without decoding to a `Value`:
-/// the hot path of transactor arbitration.
+/// The front wire words of a flat FIFO, written into `out` without
+/// decoding to a `Value`: the hot path of transactor arbitration.
+/// `false` when the FIFO is empty.
 pub(crate) fn fifo_front_wire(
     p: &FlatPrim,
     block: &[u64],
     spill: &VecDeque<Value>,
-) -> Option<Vec<u32>> {
+    out: &mut Vec<u32>,
+) -> bool {
     let (head, len) = fifo_geom(block);
     if len > 0 {
         let at = 2 + head * p.lane;
-        Some(flat_to_wire(&block[at..at + p.lane], p.layout.width))
+        flat_to_wire_in(&block[at..at + p.lane], p.layout.width, out);
+        true
+    } else if let Some(v) = spill.front() {
+        out.clear();
+        out.extend_from_slice(&v.to_words());
+        true
     } else {
-        spill.front().map(Value::to_words)
+        false
     }
 }

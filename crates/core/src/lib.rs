@@ -52,7 +52,7 @@
 //!     ),
 //! );
 //! let design = bcl_core::elab::elaborate(&Program::with_root(m.build())).unwrap();
-//! let mut runner = SwRunner::new(&design, SwOptions::default());
+//! let mut runner = SwRunner::new(&design, SwOptions::default()).unwrap();
 //! runner.run_until_quiescent(1_000).unwrap();
 //! let x = design.prim_id("x").unwrap();
 //! assert_eq!(

@@ -963,7 +963,7 @@ mod tests {
         for i in 0..4 {
             store.push_source(PrimId(0), Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(&fused, store, SwOptions::default());
+        let mut r = SwRunner::with_store(&fused, store, SwOptions::default()).unwrap();
         r.run_until_quiescent(1000).unwrap();
         let out: Vec<i64> = r
             .store
@@ -997,7 +997,7 @@ mod tests {
         for i in 0..4 {
             store.push_source(src, Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(&fp.design, store, SwOptions::default());
+        let mut r = SwRunner::with_store(&fp.design, store, SwOptions::default()).unwrap();
         r.run_until_quiescent(1000).unwrap();
         let out: Vec<i64> = r
             .store
@@ -1116,7 +1116,7 @@ mod tests {
         for i in 0..n {
             store.push_source(src, Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(d, store, SwOptions::default());
+        let mut r = SwRunner::with_store(d, store, SwOptions::default()).unwrap();
         r.run_until_quiescent(10_000).unwrap();
         r.store
             .sink_values(snk)

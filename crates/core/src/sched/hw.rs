@@ -148,13 +148,6 @@ pub struct HwSim {
     /// reference mode (identical observable behavior, used as a test
     /// oracle and benchmark baseline).
     pub event_driven: bool,
-    /// Execute guards and bodies through the closure-threaded native
-    /// backend ([`crate::compile`]) instead of the AST interpreter.
-    /// Takes effect only over a flat-arena store, the lowering's target;
-    /// over a tree store the simulator interprets. Observable behavior
-    /// (firings, cycles, state) is bit-identical; only wall-clock time
-    /// changes. Set after construction, like `event_driven`.
-    pub compiled: bool,
     fired: Vec<u64>,
     total_fired: u64,
     peak: usize,
@@ -187,11 +180,13 @@ impl HwSim {
 
     /// Builds a simulator over an existing store. Over a flat-arena
     /// store the rules are lowered to native closures here, so
-    /// [`HwSim::compiled`] can be switched on after construction.
+    /// [`HwSim::set_compiled`] can switch them on after construction.
     ///
     /// # Errors
     ///
-    /// Fails [`hw_check`] for software-only constructs.
+    /// Fails [`hw_check`] for software-only constructs, and over a flat
+    /// store names the first rule whose guard or body does not lower
+    /// (see [`crate::compile`]'s "What is rejected").
     pub fn with_store(design: &Design, store: Store) -> Result<HwSim, ElabError> {
         hw_check(design)?;
         // Always lift in hardware: guards become the rule's CAN_FIRE
@@ -205,7 +200,7 @@ impl HwSim {
         );
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
-        let exec = RuleExec::new(&plans, design, &store);
+        let exec = RuleExec::new(&plans, design, &store, false)?;
         let guarded = plans.iter().filter(|p| p.guard.is_some()).count() as u64;
         Ok(HwSim {
             plans,
@@ -214,7 +209,6 @@ impl HwSim {
             store,
             cycles: 0,
             event_driven: true,
-            compiled: false,
             fired: vec![0; n],
             total_fired: 0,
             peak: 0,
@@ -235,16 +229,26 @@ impl HwSim {
         self.plans.len()
     }
 
-    /// How many rules run their guard or body on the AST interpreter:
-    /// every rule unless [`HwSim::compiled`] is set over a flat store,
-    /// and otherwise those whose lowering declined. Zero means the
-    /// whole design runs compiled.
+    /// Executes guards and bodies through the closure-threaded native
+    /// backend ([`crate::compile`]) when `on`, through the AST
+    /// interpreter otherwise (the default). Takes effect only over a
+    /// flat-arena store, the lowering's target; over a tree store the
+    /// simulator interprets. Observable behavior (firings, cycles,
+    /// state) is bit-identical; only wall-clock time changes.
+    pub fn set_compiled(&mut self, on: bool) {
+        self.exec.set_native(on);
+    }
+
+    /// Whether the simulator runs its rules native (see
+    /// [`HwSim::set_compiled`]).
+    pub fn compiled(&self) -> bool {
+        self.exec.native
+    }
+
+    /// How many rules run on the AST interpreter: none when the
+    /// simulator is compiled over a flat store, every rule otherwise.
     pub fn interpreted_rules(&self) -> usize {
-        if self.compiled {
-            self.exec.interpreted(&self.plans)
-        } else {
-            self.plans.len()
-        }
+        self.exec.interpreted(&self.plans)
     }
 
     /// Simulates one clock cycle; returns the number of rules fired.
@@ -278,20 +282,15 @@ impl HwSim {
             // CAN_FIRE: cached verdict where still valid, fresh
             // evaluation otherwise.
             for i in 0..n {
-                self.scratch_ready[i] = match &self.plans[i].guard {
+                let plan = &self.plans[i];
+                self.scratch_ready[i] = match plan.guard {
                     None => true,
-                    Some(g) => {
+                    Some(_) => {
                         if let Some(v) = self.verdicts[i] {
                             self.guard_evals_skipped += 1;
                             v
                         } else {
-                            let v = self.exec.guard(
-                                self.compiled,
-                                &mut self.store,
-                                i,
-                                g,
-                                &mut ignored,
-                            )?;
+                            let v = self.exec.guard(&mut self.store, i, plan, &mut ignored)?;
                             self.guard_evals += 1;
                             self.verdicts[i] = Some(v);
                             v
@@ -303,11 +302,11 @@ impl HwSim {
             // Naive reference mode: evaluate every guard against
             // cycle-start state, every cycle.
             for i in 0..n {
-                self.scratch_ready[i] = match &self.plans[i].guard {
-                    Some(g) => {
+                let plan = &self.plans[i];
+                self.scratch_ready[i] = match plan.guard {
+                    Some(_) => {
                         self.guard_evals += 1;
-                        self.exec
-                            .guard(self.compiled, &mut self.store, i, g, &mut ignored)?
+                        self.exec.guard(&mut self.store, i, plan, &mut ignored)?
                     }
                     None => true,
                 };
@@ -337,13 +336,9 @@ impl HwSim {
     fn fire(&mut self, selected: &[usize]) -> ExecResult<usize> {
         let mut fired_now = 0;
         for &i in selected {
-            let (out, _c) = self.exec.body(
-                self.compiled,
-                &mut self.store,
-                i,
-                &self.plans[i],
-                ShadowPolicy::Partial,
-            )?;
+            let (out, _c) =
+                self.exec
+                    .body(&mut self.store, i, &self.plans[i], ShadowPolicy::Partial)?;
             if out == RuleOutcome::Fired {
                 self.fired[i] += 1;
                 self.total_fired += 1;
@@ -550,7 +545,7 @@ mod tests {
                 }
                 let mut sim = HwSim::with_store(&d, store).unwrap();
                 sim.event_driven = event_driven;
-                sim.compiled = compiled;
+                sim.set_compiled(compiled);
                 sim.run_until_quiescent(1000).unwrap();
                 runs.push((sim.store.sink_values(PrimId(3)).to_vec(), sim.report()));
             }
@@ -736,7 +731,8 @@ mod tests {
                 strategy: Strategy::Dataflow,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         sw.run_until_quiescent(10_000).unwrap();
         assert_eq!(
             hw.store.sink_values(PrimId(3)),

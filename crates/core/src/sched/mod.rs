@@ -15,104 +15,117 @@ mod sw;
 pub use hw::{hw_check, HwReport, HwSim, HwSnapshot};
 pub use sw::{ExecBackend, Strategy, SwOptions, SwReport, SwRunner, SwSnapshot};
 
-use crate::ast::Expr;
 use crate::compile::{
     compile_plans, eval_guard_native, run_rule_inplace_native, run_rule_native, NativeFrame,
     NativeRule,
 };
 use crate::design::Design;
-use crate::error::ExecResult;
+use crate::error::{ElabError, ExecResult};
 use crate::exec::{eval_guard_ro, run_rule_in, run_rule_inplace, RuleOutcome};
 use crate::store::{Cost, ShadowPolicy, Store, TxnLog};
 use crate::xform::RulePlan;
 
-/// A scheduler's rule executor. Over a flat-arena store every rule is
-/// lowered once to native closures ([`crate::compile`]); over a tree
-/// store nothing is lowered. Each call runs the native lowering when
-/// `native` is set and one exists, and the AST interpreter otherwise —
-/// every rule on a tree store, and on a flat one the guards and bodies
-/// whose lowering declines (see [`crate::compile`]'s "What declines").
-/// Both paths keep their shadows in one [`TxnLog`] reused by every
-/// firing.
+/// A scheduler's rule executor. It runs every rule native or every rule
+/// on the AST interpreter, chosen once for the whole scheduler, never
+/// rule by rule. Over a flat-arena store every rule is lowered to native
+/// closures ([`crate::compile`]) when the scheduler is built, and a rule
+/// that does not lower refuses the design; over a tree store nothing is
+/// lowered and the scheduler interprets. Both paths keep their shadows
+/// in one [`TxnLog`] reused by every firing.
 #[derive(Debug, Default)]
 struct RuleExec {
+    /// One lowered rule per plan; empty when nothing was lowered.
     natives: Vec<NativeRule>,
+    /// Run `natives`; otherwise interpret every rule.
+    native: bool,
     frame: NativeFrame,
     log: TxnLog,
 }
 
 impl RuleExec {
-    /// Lowers `plans` if `store` is flat.
-    fn new(plans: &[RulePlan], design: &Design, store: &Store) -> RuleExec {
-        RuleExec {
-            natives: if store.is_flat() {
-                compile_plans(plans, design)
-            } else {
-                Vec::new()
-            },
-            frame: NativeFrame::new(),
-            log: TxnLog::new(),
-        }
+    /// Lowers `plans` if `store` is flat, and runs them when `native`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule whose guard or body does not lower.
+    fn new(
+        plans: &[RulePlan],
+        design: &Design,
+        store: &Store,
+        native: bool,
+    ) -> Result<RuleExec, ElabError> {
+        let natives = if store.is_flat() {
+            compile_plans(plans, design)?
+        } else {
+            Vec::new()
+        };
+        let mut exec = RuleExec {
+            natives,
+            ..RuleExec::default()
+        };
+        exec.set_native(native);
+        Ok(exec)
     }
 
-    /// Rules whose guard or body runs on the interpreter: all of them
-    /// when nothing was lowered, else those whose lowering declined.
+    /// Runs the lowered rules when `on` and some were lowered; every
+    /// rule is interpreted otherwise.
+    fn set_native(&mut self, on: bool) {
+        self.native = on && !self.natives.is_empty();
+    }
+
+    /// Rules run on the interpreter: none or all of them.
     fn interpreted(&self, plans: &[RulePlan]) -> usize {
-        if self.natives.is_empty() {
-            return plans.len();
+        if self.native {
+            0
+        } else {
+            plans.len()
         }
-        plans
-            .iter()
-            .zip(&self.natives)
-            .filter(|(p, n)| n.body.is_none() || (p.guard.is_some() && n.guard.is_none()))
-            .count()
     }
 
-    fn lowered(natives: &[NativeRule], native: bool, i: usize) -> Option<&NativeRule> {
-        natives.get(i).filter(|_| native)
-    }
-
-    /// Evaluates rule `i`'s lifted guard `g` against the committed store.
+    /// Evaluates rule `i`'s lifted guard against the committed store; a
+    /// rule without one is ready.
     fn guard(
         &mut self,
-        native: bool,
         store: &mut Store,
         i: usize,
-        g: &Expr,
+        plan: &RulePlan,
         cost: &mut Cost,
     ) -> ExecResult<bool> {
-        match Self::lowered(&self.natives, native, i).and_then(|n| n.guard.as_ref()) {
-            Some(cg) => eval_guard_native(&mut self.frame, store, cg, cost),
-            None => eval_guard_ro(store, g, cost),
+        if self.native {
+            match &self.natives[i].guard {
+                Some(g) => eval_guard_native(&mut self.frame, store, g, cost),
+                None => Ok(true),
+            }
+        } else {
+            match &plan.guard {
+                Some(g) => eval_guard_ro(store, g, cost),
+                None => Ok(true),
+            }
         }
     }
 
     /// Runs rule `i`'s body as a transaction.
     fn body(
         &mut self,
-        native: bool,
         store: &mut Store,
         i: usize,
         plan: &RulePlan,
         policy: ShadowPolicy,
     ) -> ExecResult<(RuleOutcome, Cost)> {
-        match Self::lowered(&self.natives, native, i).and_then(|n| n.body.as_ref()) {
-            Some(cb) => run_rule_native(&mut self.frame, &mut self.log, store, cb, policy),
-            None => run_rule_in(&mut self.log, store, &plan.body, policy),
+        if self.native {
+            let body = &self.natives[i].body;
+            run_rule_native(&mut self.frame, &mut self.log, store, body, policy)
+        } else {
+            run_rule_in(&mut self.log, store, &plan.body, policy)
         }
     }
 
     /// Runs rule `i`'s fully guard-lifted body in place.
-    fn body_inplace(
-        &mut self,
-        native: bool,
-        store: &mut Store,
-        i: usize,
-        plan: &RulePlan,
-    ) -> ExecResult<Cost> {
-        match Self::lowered(&self.natives, native, i).and_then(|n| n.body.as_ref()) {
-            Some(cb) => run_rule_inplace_native(&mut self.frame, store, cb),
-            None => run_rule_inplace(store, &plan.body),
+    fn body_inplace(&mut self, store: &mut Store, i: usize, plan: &RulePlan) -> ExecResult<Cost> {
+        if self.native {
+            run_rule_inplace_native(&mut self.frame, store, &self.natives[i].body)
+        } else {
+            run_rule_inplace(store, &plan.body)
         }
     }
 }
@@ -186,11 +199,10 @@ mod tests {
 
     /// A tree store is never lowered. With `compiled` on — through the
     /// options for the runner, and set after construction for the
-    /// simulator, as `Cosim` does — both schedulers take the interpreter
-    /// fallback and match the naive reference in firings, state, and
-    /// cycles.
+    /// simulator, as `Cosim` does — both schedulers interpret every rule
+    /// and match the naive reference in firings, state, and cycles.
     #[test]
-    fn compiled_over_tree_store_falls_back_to_interpreter() {
+    fn compiled_over_tree_store_interprets() {
         let mut m = ModuleBuilder::new("Fallback");
         m.source("src", Type::Int(32), "SW");
         m.sink("snk", Type::Int(32), "SW");
@@ -227,26 +239,28 @@ mod tests {
                 compiled,
                 ..Default::default()
             };
-            let mut r = SwRunner::with_store(&d, preload(), opts);
+            let mut r = SwRunner::with_store(&d, preload(), opts).unwrap();
             r.run_until_quiescent(1_000).unwrap();
             r
         };
         let naive = sw(false, false);
         let compiled = sw(true, true);
         assert!(compiled.exec.natives.is_empty(), "tree store was lowered");
+        assert_eq!(compiled.interpreted_rules(), 2);
         assert_eq!(compiled.report(), naive.report());
         assert_eq!(compiled.store, naive.store);
 
         let hw = |event_driven, compiled| {
             let mut sim = HwSim::with_store(&d, preload()).unwrap();
             sim.event_driven = event_driven;
-            sim.compiled = compiled;
+            sim.set_compiled(compiled);
             sim.run_until_quiescent(1_000).unwrap();
             sim
         };
         let naive = hw(false, false);
         let compiled = hw(true, true);
         assert!(compiled.exec.natives.is_empty(), "tree store was lowered");
+        assert!(!compiled.compiled());
         let (rn, rc) = (naive.report(), compiled.report());
         assert_eq!((rc.cycles, &rc.fired), (rn.cycles, &rn.fired));
         assert_eq!(compiled.store, naive.store);

@@ -12,7 +12,7 @@ use crate::analysis::{successors, Sensitivity};
 use crate::ast::PrimId;
 use crate::codec::{self, ByteReader, ByteWriter, CodecResult};
 use crate::design::Design;
-use crate::error::ExecResult;
+use crate::error::{ElabError, ExecResult};
 use crate::exec::RuleOutcome;
 use crate::store::{Cost, ShadowPolicy, Store, StoreSnapshot};
 use crate::xform::{compile_design, CompileOpts, ExecMode, RulePlan};
@@ -103,7 +103,9 @@ pub struct SwOptions {
     /// Execute rules through the closure-threaded native backend
     /// ([`crate::compile`]) instead of the AST interpreter. Lowering
     /// targets the flat arena, so this takes effect only together with
-    /// `flat`; on a tree store the runner interprets. Metered costs,
+    /// `flat`; on a tree store the runner interprets. Over a flat store
+    /// every rule runs native, and a design with a rule that does not
+    /// lower is refused when the runner is built. Metered costs,
     /// verdicts, and error texts are bit-identical to the interpreter
     /// (the fuzz farm proves it); only wall-clock time changes.
     pub compiled: bool,
@@ -232,23 +234,36 @@ pub struct SwRunner {
 
 impl SwRunner {
     /// Creates a runner for a design with a fresh store.
-    pub fn new(design: &Design, opts: SwOptions) -> SwRunner {
+    ///
+    /// # Errors
+    ///
+    /// As [`SwRunner::with_store`].
+    pub fn new(design: &Design, opts: SwOptions) -> Result<SwRunner, ElabError> {
         SwRunner::with_store(design, Store::new_like(design, opts.flat), opts)
     }
 
     /// Creates a runner with a pre-populated store (e.g. preloaded sources).
     /// Rules are lowered to native closures only when `opts.compiled` is
     /// set and `store` is flat; otherwise the runner interprets.
-    pub fn with_store(design: &Design, store: Store, opts: SwOptions) -> SwRunner {
+    ///
+    /// # Errors
+    ///
+    /// When lowering, names the first rule whose guard or body does not
+    /// lower (see [`crate::compile`]'s "What is rejected").
+    pub fn with_store(
+        design: &Design,
+        store: Store,
+        opts: SwOptions,
+    ) -> Result<SwRunner, ElabError> {
         let plans = compile_design(design, opts.compile);
         let n = plans.len();
         let sens = Sensitivity::of_plans(&plans, store.len());
         let exec = if opts.compiled {
-            RuleExec::new(&plans, design, &store)
+            RuleExec::new(&plans, design, &store, true)?
         } else {
             RuleExec::default()
         };
-        SwRunner {
+        Ok(SwRunner {
             plans,
             succ: successors(design),
             sens,
@@ -263,7 +278,7 @@ impl SwRunner {
             verdicts: vec![None; n],
             dirty_scratch: Vec::new(),
             exec,
-        }
+        })
     }
 
     /// The number of rules.
@@ -271,10 +286,8 @@ impl SwRunner {
         self.plans.len()
     }
 
-    /// How many rules run their guard or body on the AST interpreter:
-    /// every rule unless the runner is compiled over a flat store, and
-    /// otherwise those whose lowering declined. Zero means the whole
-    /// design runs compiled.
+    /// How many rules run on the AST interpreter: none when the runner
+    /// is compiled over a flat store, every rule otherwise.
     pub fn interpreted_rules(&self) -> usize {
         self.exec.interpreted(&self.plans)
     }
@@ -300,8 +313,7 @@ impl SwRunner {
             self.sync_dirty();
         }
         let plan = &self.plans[i];
-        let native = self.opts.compiled;
-        if let Some(g) = &plan.guard {
+        if plan.guard.is_some() {
             let ok = if self.opts.event_driven {
                 if let Some((v, c)) = &self.verdicts[i] {
                     // Cache hit: replay the recorded cost delta so modeled
@@ -315,14 +327,13 @@ impl SwRunner {
                     v
                 } else {
                     let mut delta = Cost::default();
-                    let v = self.exec.guard(native, &mut self.store, i, g, &mut delta)?;
+                    let v = self.exec.guard(&mut self.store, i, plan, &mut delta)?;
                     self.cost.add(&delta);
                     self.verdicts[i] = Some((v, delta));
                     v
                 }
             } else {
-                self.exec
-                    .guard(native, &mut self.store, i, g, &mut self.cost)?
+                self.exec.guard(&mut self.store, i, plan, &mut self.cost)?
             };
             if !ok {
                 self.failed[i] += 1;
@@ -331,14 +342,12 @@ impl SwRunner {
         }
         let fired = match plan.mode {
             ExecMode::InPlace => {
-                let c = self.exec.body_inplace(native, &mut self.store, i, plan)?;
+                let c = self.exec.body_inplace(&mut self.store, i, plan)?;
                 self.cost.add(&c);
                 true
             }
             ExecMode::Transactional => {
-                let (out, c) =
-                    self.exec
-                        .body(native, &mut self.store, i, plan, self.opts.shadow)?;
+                let (out, c) = self.exec.body(&mut self.store, i, plan, self.opts.shadow)?;
                 self.cost.add(&c);
                 out == RuleOutcome::Fired
             }
@@ -584,7 +593,7 @@ mod tests {
             compile,
             ..Default::default()
         };
-        let mut r = SwRunner::with_store(&d, store, opts);
+        let mut r = SwRunner::with_store(&d, store, opts).unwrap();
         r.run_until_quiescent(1000).unwrap();
         let out: Vec<i64> = r
             .store
@@ -618,7 +627,7 @@ mod tests {
                     flat,
                     ..Default::default()
                 };
-                let mut r = SwRunner::with_store(&d, store, opts);
+                let mut r = SwRunner::with_store(&d, store, opts).unwrap();
                 r.run_until_quiescent(1000).unwrap();
                 let out: Vec<i64> = r
                     .store
@@ -650,7 +659,7 @@ mod tests {
                     compiled,
                     ..Default::default()
                 };
-                let mut r = SwRunner::with_store(&d, store, opts);
+                let mut r = SwRunner::with_store(&d, store, opts).unwrap();
                 r.run_until_quiescent(1000).unwrap();
                 let out: Vec<i64> = r
                     .store
@@ -716,7 +725,7 @@ mod tests {
     #[test]
     fn quiescence_is_reported() {
         let d = pipeline();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         assert!(!r.step().unwrap(), "empty source: nothing can fire");
         let (spent, quiescent) = r.run_for(1_000).unwrap();
         assert!(quiescent);
@@ -730,7 +739,7 @@ mod tests {
         for i in 0..1000 {
             store.push_source(PrimId(0), Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(&d, store, SwOptions::default());
+        let mut r = SwRunner::with_store(&d, store, SwOptions::default()).unwrap();
         let (spent, quiescent) = r.run_for(50).unwrap();
         assert!(!quiescent);
         assert!(spent >= 50);
@@ -744,7 +753,7 @@ mod tests {
         for i in 0..50 {
             store.push_source(PrimId(0), Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(&d, store, SwOptions::default());
+        let mut r = SwRunner::with_store(&d, store, SwOptions::default()).unwrap();
         r.run_for(200).unwrap();
         let snap = r.snapshot();
         let cpu_at_snap = r.cpu_cycles();

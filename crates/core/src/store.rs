@@ -906,23 +906,32 @@ impl Store {
         }
     }
 
-    /// The front value of a FIFO primitive in transactor wire format
-    /// (32-bit words), or `None` if the FIFO is empty or the primitive
-    /// is not a FIFO. On the flat backend the words are copied straight
-    /// out of the arena without materializing a [`Value`].
-    pub fn fifo_front_wire(&self, id: PrimId) -> Option<Vec<u32>> {
+    /// Writes the front value of a FIFO primitive in transactor wire
+    /// format (32-bit words) into `out`, replacing its contents, so a
+    /// caller that reuses `out` sends without allocating. Returns
+    /// `false`, with `out` untouched, if the FIFO is empty or the
+    /// primitive is not a FIFO. On the flat backend the words are copied
+    /// straight out of the arena without materializing a [`Value`].
+    pub fn fifo_front_wire(&self, id: PrimId, out: &mut Vec<u32>) -> bool {
         match &self.backend {
             Backend::Tree { states, .. } => match &states[id.0] {
-                PrimState::Fifo { items, .. } => items.front().map(|v| v.to_words()),
-                _ => None,
+                PrimState::Fifo { items, .. } => match items.front() {
+                    Some(v) => {
+                        out.clear();
+                        out.extend_from_slice(&v.to_words());
+                        true
+                    }
+                    None => false,
+                },
+                _ => false,
             },
             Backend::Flat(f) => {
                 let p = &f.meta.prims[id.0];
                 match p.kind {
                     FlatKind::Fifo { spill, .. } => {
-                        flat::fifo_front_wire(p, f.block(p), &f.spills[spill])
+                        flat::fifo_front_wire(p, f.block(p), &f.spills[spill], out)
                     }
-                    _ => None,
+                    _ => false,
                 }
             }
         }
@@ -2168,14 +2177,19 @@ impl<'s> Txn<'s> {
         Ok(())
     }
 
-    /// Pushes a fresh frame (for `localGuard`).
-    pub fn push_frame(&mut self) {
+    /// Pushes a fresh frame (for `localGuard`) and returns its index,
+    /// for [`Txn::discard_from`].
+    pub fn push_frame(&mut self) -> usize {
         self.log.push_frame();
+        self.log.frames.len() - 1
     }
 
-    /// Pops the top frame, discarding its effects (branch rollback).
-    pub fn pop_discard(&mut self) {
-        self.log.unwind(self.log.frames.len() - 1);
+    /// Closes frame `at` and every frame above it, discarding their
+    /// effects, and charges one rollback (a `localGuard` whose body
+    /// failed). A compiled body can fail with parallel-branch frames
+    /// still open above its own, so `at` need not be the top frame.
+    pub fn discard_from(&mut self, at: usize) {
+        self.log.unwind(at);
         self.cost.rollbacks += 1;
     }
 
@@ -2509,10 +2523,10 @@ mod tests {
         let mut s = Store::new(&d);
         let mut log = TxnLog::new();
         let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
-        t.push_frame();
+        let at = t.push_frame();
         t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 9)])
             .unwrap();
-        t.pop_discard(); // as if the guarded body failed
+        t.discard_from(at); // as if the guarded body failed
         assert_eq!(
             t.call_value(A, PrimMethod::RegRead, &[]).unwrap(),
             Value::int(8, 1)
@@ -2680,7 +2694,11 @@ mod tests {
             assert!(s.sched_clean());
             let _ = s.snapshot_cow();
             let _ = s.call_value_at(A, PrimMethod::RegRead, &[]).unwrap();
-            let _ = (s.fifo_len(Q), s.fifo_front_wire(Q), s.source_pending(src));
+            let _ = (
+                s.fifo_len(Q),
+                s.fifo_front_wire(Q, &mut Vec::new()),
+                s.source_pending(src),
+            );
             let mut log = TxnLog::new();
             let mut t = Txn::new(&mut s, &mut log, ShadowPolicy::Partial);
             t.call_action(A, PrimMethod::RegWrite, &[Value::int(8, 1)])
@@ -2949,8 +2967,12 @@ mod tests {
         flat.enq_wire(Q, &ty, &wire).unwrap();
         assert_eq!(tree.fifo_len(Q), 1);
         assert_eq!(flat.fifo_len(Q), 1);
-        assert_eq!(tree.fifo_front_wire(Q), flat.fifo_front_wire(Q));
-        assert_eq!(flat.fifo_front_wire(Q).unwrap(), wire);
+        let front = |s: &Store| {
+            let mut out = vec![9u32; 3];
+            s.fifo_front_wire(Q, &mut out).then_some(out)
+        };
+        assert_eq!(front(&tree), front(&flat));
+        assert_eq!(front(&flat).unwrap(), wire);
         // Full FIFO: both refuse with a guard failure.
         assert_eq!(tree.enq_wire(Q, &ty, &wire), Err(ExecError::GuardFail));
         assert_eq!(flat.enq_wire(Q, &ty, &wire), Err(ExecError::GuardFail));
@@ -2963,12 +2985,12 @@ mod tests {
         );
         tree.fifo_deq(Q).unwrap();
         flat.fifo_deq(Q).unwrap();
-        assert_eq!(tree.fifo_front_wire(Q), None);
-        assert_eq!(flat.fifo_front_wire(Q), None);
+        assert_eq!(front(&tree), None);
+        assert_eq!(front(&flat), None);
         assert_eq!(flat.fifo_deq(Q), Err(ExecError::GuardFail));
         // Non-FIFO primitives answer the probes benignly.
         assert_eq!(flat.fifo_len(A), 0);
-        assert_eq!(flat.fifo_front_wire(A), None);
+        assert!(!flat.fifo_front_wire(A, &mut Vec::new()));
     }
 
     #[test]

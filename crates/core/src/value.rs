@@ -764,17 +764,24 @@ pub fn copy_bits_within(words: &mut [u64], src_bit: usize, dst_bit: usize, width
 /// of one word for zero-width types), provided bits past `width` in the
 /// lane are zero — which the flat store guarantees.
 pub fn flat_to_wire(words: &[u64], width: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    flat_to_wire_in(words, width, &mut out);
+    out
+}
+
+/// [`flat_to_wire`] replacing the contents of `out`, whose capacity the
+/// caller reuses.
+pub(crate) fn flat_to_wire_in(words: &[u64], width: u32, out: &mut Vec<u32>) {
     let n = (width as usize).div_ceil(32).max(1);
-    let mut out = vec![0u32; n];
-    for (i, w) in out.iter_mut().enumerate() {
+    out.clear();
+    out.extend((0..n).map(|i| {
         let src = words.get(i / 2).copied().unwrap_or(0);
-        *w = if i % 2 == 0 {
+        if i % 2 == 0 {
             src as u32
         } else {
             (src >> 32) as u32
-        };
-    }
-    out
+        }
+    }));
 }
 
 /// Copies a 32-bit wire stream into a bit-packed 64-bit lane of the given
@@ -1060,6 +1067,9 @@ mod tests {
             );
             // Bit-identical to the 32-bit wire format.
             assert_eq!(flat_to_wire(&words, lay.width), v.to_words(), "wire of {v}");
+            let mut wire = vec![7u32; 9];
+            flat_to_wire_in(&words, lay.width, &mut wire);
+            assert_eq!(wire, v.to_words(), "reused wire buffer of {v}");
             // And back from the wire into a lane.
             let mut lane = vec![0xfeedu64; lay.words64()];
             wire_to_flat(lay.width, &v.to_words(), &mut lane).unwrap();

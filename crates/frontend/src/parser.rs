@@ -1036,7 +1036,7 @@ mod tests {
         let mut p = parse(COUNTER).unwrap();
         p.root_args = vec![Value::int(32, 2)];
         let d = elaborate(&p).unwrap();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         r.run_until_quiescent(100).unwrap();
         let c = d.prim_id("c").unwrap();
         assert_eq!(
@@ -1065,7 +1065,7 @@ mod tests {
         let d = elaborate(&p).unwrap();
         let mut store = bcl_core::Store::new(&d);
         store.push_source(d.prim_id("in").unwrap(), Value::int(32, 20));
-        let mut r = SwRunner::with_store(&d, store, SwOptions::default());
+        let mut r = SwRunner::with_store(&d, store, SwOptions::default()).unwrap();
         r.run_until_quiescent(100).unwrap();
         assert_eq!(
             r.store.sink_values(d.prim_id("out").unwrap()),
@@ -1092,7 +1092,7 @@ mod tests {
         assert_eq!(p.root, "Acc", "first module is root by default");
         p.root = "Top".into();
         let d = elaborate(&p).unwrap();
-        let mut r = SwRunner::new(&d, SwOptions::default());
+        let mut r = SwRunner::new(&d, SwOptions::default()).unwrap();
         r.run_until_quiescent(100).unwrap();
         let t = d.prim_id("a.total").unwrap();
         assert_eq!(

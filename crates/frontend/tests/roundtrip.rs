@@ -161,7 +161,7 @@ proptest! {
             if let bcl_core::prim::PrimState::Fifo { items, .. } = store.state_mut(fa) {
                 items.push_back(Value::int(32, 7));
             }
-            let mut r = SwRunner::with_store(d, store, SwOptions::default());
+            let mut r = SwRunner::with_store(d, store, SwOptions::default()).unwrap();
             r.run_until_quiescent(200).map_err(|e| e.to_string())?;
             Ok(r.store)
         };

@@ -48,7 +48,7 @@ fn source_width(d: &Design, id: PrimId) -> Result<u32, String> {
 /// Runs a design on a [`SwRunner`] with preloaded sources and returns
 /// the per-sink output streams, keyed by sink path.
 fn run_sw(d: &Design, backend: ExecBackend) -> Result<BTreeMap<String, Vec<i64>>, String> {
-    let mut r = SwRunner::new(d, backend.sw_options());
+    let mut r = SwRunner::new(d, backend.sw_options()).map_err(|e| e.to_string())?;
     for id in d.sources() {
         let w = source_width(d, id)?;
         for v in 0..FEED {

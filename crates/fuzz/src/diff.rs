@@ -69,7 +69,7 @@ fn run_sw(d: &Design, spec: &DesignSpec, backend: ExecBackend) -> Result<SwRunne
         strategy: Strategy::Dataflow,
         ..backend.sw_options()
     };
-    let mut r = SwRunner::new(d, opts);
+    let mut r = SwRunner::new(d, opts).map_err(|e| e.to_string())?;
     if backend.compiled() {
         all_lowered("compiled software", r.interpreted_rules())?;
     }

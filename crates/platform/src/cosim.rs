@@ -188,8 +188,9 @@ pub struct HwPartitionCfg {
     /// either way; only simulator wall-clock time differs.
     pub event_driven: bool,
     /// Closure-threaded native execution for this partition's simulator
-    /// (see [`HwSim::compiled`]). Firings, cycle counts, and state are
-    /// bit-identical either way; only simulator wall-clock time differs.
+    /// (see [`HwSim::set_compiled`]). Firings, cycle counts, and state
+    /// are bit-identical either way; only simulator wall-clock time
+    /// differs.
     pub compiled: bool,
 }
 
@@ -231,9 +232,9 @@ impl HwPartitionCfg {
         self
     }
 
-    /// Selects closure-threaded native execution (`true`) or the
-    /// stack-machine/interpreter path (`false`, the default) for this
-    /// partition's simulator.
+    /// Selects closure-threaded native execution (`true`) or the AST
+    /// interpreter (`false`, the default) for this partition's
+    /// simulator.
     pub fn with_compiled(mut self, on: bool) -> HwPartitionCfg {
         self.compiled = on;
         self
@@ -716,10 +717,9 @@ impl SwOwned {
             faults,
             clock_div,
             event_driven,
-            // Not persisted (would change the snapshot format for a
-            // wall-clock-only flag): a partition revived from a restored
-            // checkpoint runs the interpreter path, which is bit- and
-            // cycle-identical to native execution.
+            // Not persisted (it would change the snapshot format for a
+            // wall-clock-only flag); replay takes it, with
+            // `event_driven`, from the live partition being replayed.
             compiled: false,
             fault_schedule,
             fault_fired,
@@ -1092,7 +1092,9 @@ impl Cosim {
     /// The design must have a `sw_domain` partition; a `hw_domain`
     /// partition and channels between the two are optional (an
     /// all-software partitioning runs without a link). For more than one
-    /// hardware partition use [`Cosim::multi`].
+    /// hardware partition use [`Cosim::multi`]. The hardware partition
+    /// runs the backend `sw_opts` selects: its `event_driven` and
+    /// `compiled` flags apply to both sides.
     ///
     /// # Errors
     ///
@@ -1146,8 +1148,8 @@ impl Cosim {
             link: link_cfg,
             faults,
             clock_div: 1,
-            event_driven: true,
-            compiled: false,
+            event_driven: sw_opts.event_driven,
+            compiled: sw_opts.compiled,
         };
         Cosim::multi(
             p,
@@ -1211,7 +1213,8 @@ impl Cosim {
         }
         let domains: Vec<String> = active.iter().map(|c| c.domain.clone()).collect();
         let topo = plan_topology(p, sw_domain, &domains, &routing)?;
-        let sw = SwRunner::new(&topo.sw_design, sw_opts);
+        let sw = SwRunner::new(&topo.sw_design, sw_opts)
+            .map_err(|e| PlatformError::new(e.to_string()))?;
 
         let mut parts_list = Vec::with_capacity(active.len());
         for (cfg, specs) in active.iter().zip(&topo.part_specs) {
@@ -1222,7 +1225,7 @@ impl Cosim {
             let mut hw = HwSim::with_store(&design, Store::new_like(&design, sw_opts.flat))
                 .map_err(|e| PlatformError::new(e.to_string()))?;
             hw.event_driven = cfg.event_driven;
-            hw.compiled = cfg.compiled;
+            hw.set_compiled(cfg.compiled);
             let transactor = if specs.is_empty() {
                 None
             } else {
@@ -1878,11 +1881,21 @@ impl Cosim {
             .collect();
         let topo = plan_topology(&fusion.parts, &self.sw_domain, &domains, &self.routing)
             .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
+        let sw = SwRunner::new(&topo.sw_design, self.sw_opts)
+            .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
+        // The backend flags are this cosim's, not the snapshot's: the
+        // record does not persist `compiled`.
+        let live = &self.parts_list[pi].hw;
+        let rec = SwOwned {
+            event_driven: live.event_driven,
+            compiled: live.compiled(),
+            ..rec.clone()
+        };
         let mut old_parts = std::mem::take(&mut self.parts_list);
         old_parts.remove(pi);
-        self.software_owned.push(rec.clone());
         self.absorbed.push(rec.domain.clone());
-        self.sw = SwRunner::new(&topo.sw_design, self.sw_opts);
+        self.software_owned.push(rec);
+        self.sw = sw;
         self.sw_design = topo.sw_design;
         for (part, specs) in old_parts.iter_mut().zip(&topo.part_specs) {
             part.transactor = if specs.is_empty() {
@@ -2313,6 +2326,12 @@ impl Cosim {
             store.set_state(fid, merged);
         }
 
+        // The merged runner is built before anything is retired, so a
+        // design it refuses leaves the cosim as it was.
+        let mut sw = SwRunner::with_store(&topo.sw_design, store, self.sw_opts)
+            .map_err(|e| ExecError::Malformed(e.to_string()))?;
+        sw.cost = self.sw.cost;
+
         // 4. Retire the dead partition, remembering its configuration
         //    and the unfired remainder of its fault schedule so a
         //    `ReviveAt` (or an explicit `Cosim::revive`) can bring it
@@ -2327,14 +2346,11 @@ impl Cosim {
             faults: dead.link.fault_config().clone(),
             clock_div: dead.clock_div,
             event_driven: dead.hw.event_driven,
-            compiled: dead.hw.compiled,
+            compiled: dead.hw.compiled(),
             fault_schedule: dead.fault_schedule,
             fault_fired: dead.fault_fired,
         });
         self.absorbed.push(dead_dom.clone());
-        let cost = self.sw.cost;
-        let mut sw = SwRunner::with_store(&topo.sw_design, store, self.sw_opts);
-        sw.cost = cost;
         self.sw = sw;
         self.sw_design = topo.sw_design;
         for (part, specs) in old_parts.iter_mut().zip(&topo.part_specs) {
@@ -2571,9 +2587,10 @@ impl Cosim {
         let mut hw = HwSim::with_store(&revived_design, hw_store)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
         hw.event_driven = rec.event_driven;
-        hw.compiled = rec.compiled;
+        hw.set_compiled(rec.compiled);
         let cost = self.sw.cost;
-        let mut sw = SwRunner::with_store(&topo.sw_design, sw_store, self.sw_opts);
+        let mut sw = SwRunner::with_store(&topo.sw_design, sw_store, self.sw_opts)
+            .map_err(|e| ExecError::Malformed(e.to_string()))?;
         sw.cost = cost;
         self.sw = sw;
         self.sw_design = topo.sw_design;

@@ -778,10 +778,10 @@ impl Link {
     }
 
     /// Pops every message whose delivery time is `<= now` in the given
-    /// direction, in delivery order.
-    pub fn deliveries(&mut self, dir: Dir, now: u64) -> Vec<Message> {
+    /// direction and appends them to `out`, in delivery order, so a
+    /// caller that reuses `out` receives without allocating.
+    pub fn deliveries(&mut self, dir: Dir, now: u64, out: &mut Vec<Message>) {
         let d = &mut self.dirs[dir.idx()];
-        let mut out = Vec::new();
         while let Some((t, msg)) = d.in_flight.pop_front() {
             if t <= now {
                 out.push(msg);
@@ -790,7 +790,6 @@ impl Link {
                 break;
             }
         }
-        out
     }
 
     /// The earliest delivery cycle among the frames in flight in either
@@ -878,13 +877,20 @@ mod tests {
         }
     }
 
+    /// The messages delivered by `now`, in a fresh buffer.
+    fn delivered(l: &mut Link, dir: Dir, now: u64) -> Vec<Message> {
+        let mut out = Vec::new();
+        l.deliveries(dir, now, &mut out);
+        out
+    }
+
     #[test]
     fn latency_is_config_plus_serialization() {
         let mut l = Link::new(LinkConfig::default());
         let t = l.send(Dir::SwToHw, msg(0, 1), 0);
         assert_eq!(t, 51, "1 cycle serialization + 50 latency");
-        assert!(l.deliveries(Dir::SwToHw, 50).is_empty());
-        assert_eq!(l.deliveries(Dir::SwToHw, 51).len(), 1);
+        assert!(delivered(&mut l, Dir::SwToHw, 50).is_empty());
+        assert_eq!(delivered(&mut l, Dir::SwToHw, 51).len(), 1);
         assert_eq!(l.in_flight(Dir::SwToHw), 0);
     }
 
@@ -917,7 +923,7 @@ mod tests {
         let mut l = Link::new(LinkConfig::default());
         l.send(Dir::SwToHw, msg(1, 1), 0);
         l.send(Dir::SwToHw, msg(2, 1), 0);
-        let d = l.deliveries(Dir::SwToHw, 1000);
+        let d = delivered(&mut l, Dir::SwToHw, 1000);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].channel, 1);
         assert_eq!(d[1].channel, 2);
@@ -939,10 +945,11 @@ mod tests {
             let due = l.next_due();
             assert!(due >= now, "delivery times only move forward");
             for t in now..due {
-                assert!(l.deliveries(Dir::SwToHw, t).is_empty());
-                assert!(l.deliveries(Dir::HwToSw, t).is_empty());
+                assert!(delivered(&mut l, Dir::SwToHw, t).is_empty());
+                assert!(delivered(&mut l, Dir::HwToSw, t).is_empty());
             }
-            let got = l.deliveries(Dir::SwToHw, due).len() + l.deliveries(Dir::HwToSw, due).len();
+            let got = delivered(&mut l, Dir::SwToHw, due).len()
+                + delivered(&mut l, Dir::HwToSw, due).len();
             assert!(got > 0, "something is delivered at {due}");
             now = due + 1;
         }
@@ -974,7 +981,7 @@ mod tests {
         for ch in 0..3 {
             l.send(Dir::SwToHw, msg(ch, 1), 0);
         }
-        let d = l.deliveries(Dir::SwToHw, 10_000);
+        let d = delivered(&mut l, Dir::SwToHw, 10_000);
         let chans: Vec<usize> = d.iter().map(|m| m.channel).collect();
         assert_eq!(chans, vec![0, 2], "frame #1 dropped, others intact");
         assert_eq!(l.stats().dropped_to_hw, 1);
@@ -987,7 +994,7 @@ mod tests {
         let faults = FaultConfig::none().with_scripted(Dir::HwToSw, 0, FaultKind::Corrupt);
         let mut l = Link::with_faults(LinkConfig::default(), faults);
         l.send(Dir::HwToSw, msg(0, 4), 0);
-        let d = l.deliveries(Dir::HwToSw, 10_000);
+        let d = delivered(&mut l, Dir::HwToSw, 10_000);
         assert_eq!(d.len(), 1);
         assert_ne!(d[0].words, vec![0xaa; 4], "payload must differ");
         assert_eq!(l.stats().corrupted_to_sw, 1);
@@ -998,7 +1005,7 @@ mod tests {
         let faults = FaultConfig::none().with_scripted(Dir::SwToHw, 0, FaultKind::Duplicate);
         let mut l = Link::with_faults(LinkConfig::default(), faults);
         l.send(Dir::SwToHw, msg(7, 2), 0);
-        let d = l.deliveries(Dir::SwToHw, 10_000);
+        let d = delivered(&mut l, Dir::SwToHw, 10_000);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0], d[1]);
         assert_eq!(l.stats().duplicated_to_hw, 1);
@@ -1010,7 +1017,7 @@ mod tests {
         let mut l = Link::with_faults(LinkConfig::default(), faults);
         l.send(Dir::SwToHw, msg(1, 1), 0);
         l.send(Dir::SwToHw, msg(2, 1), 0);
-        let d = l.deliveries(Dir::SwToHw, 10_000);
+        let d = delivered(&mut l, Dir::SwToHw, 10_000);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].channel, 2, "delayed frame overtaken");
         assert_eq!(d[1].channel, 1);
@@ -1027,7 +1034,7 @@ mod tests {
             for i in 0..200 {
                 l.send(Dir::SwToHw, msg(i % 4, 1 + i % 3), i as u64);
             }
-            let delivered = l.deliveries(Dir::SwToHw, 1_000_000);
+            let delivered = delivered(&mut l, Dir::SwToHw, 1_000_000);
             (l.stats(), delivered)
         };
         assert_eq!(run(), run());
@@ -1061,7 +1068,7 @@ mod tests {
             for i in 50..100 {
                 l.send(Dir::SwToHw, msg(i % 3, 1), i as u64);
             }
-            (l.deliveries(Dir::SwToHw, 1_000_000), l.stats())
+            (delivered(l, Dir::SwToHw, 1_000_000), l.stats())
         };
         let first = run(&mut l);
         l.restore(&snap);

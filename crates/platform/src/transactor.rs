@@ -367,6 +367,11 @@ pub struct Transactor {
     /// Left by the last pump if it delivered and sent nothing; `None`
     /// after any pump that moved a frame, and after a restore or reset.
     quiet: Option<Quiet>,
+    /// Scratch for the messages one pump receives, reused by every pump.
+    rx: Vec<Message>,
+    /// Word buffers of delivered express messages, reused by the next
+    /// sends, so a steady-state express pump allocates nothing.
+    spare: Vec<Vec<u32>>,
 }
 
 /// What a pump that moved nothing saw. Such a pump changes only the
@@ -471,6 +476,8 @@ impl Transactor {
             stats: TransportStats::default(),
             progress: 0,
             quiet: None,
+            rx: Vec::new(),
+            spare: Vec::new(),
         })
     }
 
@@ -610,8 +617,10 @@ impl Transactor {
         let mut sw_cycles = 0u64;
 
         // Phase 1: deliveries.
+        let mut rx = std::mem::take(&mut self.rx);
         for dir in [Dir::SwToHw, Dir::HwToSw] {
-            for msg in link.deliveries(dir, now) {
+            link.deliveries(dir, now, &mut rx);
+            for msg in rx.drain(..) {
                 let ch = &mut self.channels[msg.channel];
                 let rx_store: &mut Store = match dir {
                     Dir::SwToHw => hw_store,
@@ -626,8 +635,10 @@ impl Transactor {
                 if dir == Dir::HwToSw {
                     sw_cycles += link.sw_transfer_cost(msg.words.len());
                 }
+                self.spare.push(msg.words);
             }
         }
+        self.rx = rx;
 
         // Phase 2: arbitration — round-robin over channels, draining each
         // transmit FIFO as far as credits allow. Bandwidth is enforced by
@@ -646,10 +657,11 @@ impl Transactor {
                 if credits_used >= ch.depth {
                     break;
                 }
-                let words = match tx_store.fifo_front_wire(ch.tx) {
-                    Some(w) => w,
-                    None => break,
-                };
+                let mut words = self.spare.pop().unwrap_or_default();
+                if !tx_store.fifo_front_wire(ch.tx, &mut words) {
+                    self.spare.push(words);
+                    break;
+                }
                 tx_store.fifo_deq(ch.tx)?;
                 if ch.dir == Dir::SwToHw {
                     sw_cycles += link.sw_transfer_cost(words.len());
@@ -677,8 +689,10 @@ impl Transactor {
 
         // Phase 1: receive — CRC-validate, process ACKs, accept in-order
         // data, suppress duplicates, discard overtakers.
+        let mut rx = std::mem::take(&mut self.rx);
         for dir in [Dir::SwToHw, Dir::HwToSw] {
-            for msg in link.deliveries(dir, now) {
+            link.deliveries(dir, now, &mut rx);
+            for msg in rx.drain(..) {
                 let frame = match Frame::decode(&msg.words) {
                     Some(f) => f,
                     None => {
@@ -697,6 +711,7 @@ impl Transactor {
                 }
             }
         }
+        self.rx = rx;
 
         // Phase 2: retransmission timers — go-back-N resend of the whole
         // unacknowledged window, with exponential backoff.
@@ -753,10 +768,10 @@ impl Transactor {
                 if credits_used >= ch.depth {
                     break;
                 }
-                let payload = match tx_store.fifo_front_wire(ch.tx) {
-                    Some(w) => w,
-                    None => break,
-                };
+                let mut payload = Vec::new();
+                if !tx_store.fifo_front_wire(ch.tx, &mut payload) {
+                    break;
+                }
                 tx_store.fifo_deq(ch.tx)?;
                 let dir = ch.dir;
                 if dir == Dir::SwToHw {

@@ -775,7 +775,8 @@ mod tests {
                 strategy: Strategy::Dataflow,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         r.run_until_quiescent(10_000_000).unwrap();
         let snk = design.prim_id("bitmap").unwrap();
         let got = image_of_values(r.store.sink_values(snk), w * h);

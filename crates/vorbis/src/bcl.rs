@@ -369,7 +369,8 @@ mod tests {
                 strategy: Strategy::Dataflow,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         r.run_until_quiescent(1_000_000).unwrap();
         let snk = design.prim_id("audioDev").unwrap();
         pcm_of_values(r.store.sink_values(snk))

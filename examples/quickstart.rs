@@ -93,13 +93,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cached, and only rules whose read set intersects the prims written
     // since the last probe are re-evaluated. This tree store is
     // interpreted; `Store::new_flat` plus `SwOptions { flat: true,
-    // compiled: true, .. }` lowers the rules to native closures instead.
+    // compiled: true, .. }` lowers every rule to native closures instead
+    // (a design with a rule that does not lower is refused right here).
     // `SwOptions { event_driven: false, .. }` (or
     // `HwSim::event_driven = false`) selects the naive
     // evaluate-every-guard reference mode — same results, slower.
     let mut store = Store::new(&design);
     load(&mut store);
-    let mut sw = SwRunner::with_store(&design, store, SwOptions::default());
+    let mut sw = SwRunner::with_store(&design, store, SwOptions::default())?;
     sw.run_until_quiescent(100_000)?;
     let snk = design.prim_id("resp").expect("resp");
     let sw_out: Vec<i64> = sw

@@ -1,13 +1,25 @@
 //! Lowering coverage: on the compiled backend every rule of every
 //! shipped partition runs as native closures, none on the interpreter.
 //!
-//! The compiled backend falls back to the AST interpreter, per guard and
-//! per body, for what its lowering declines (see `bcl_core::compile`).
-//! That fallback is correct but slow, and nothing else would notice a
-//! rule drifting onto it, so this pins the count at zero for the ten
-//! Figure 13 partitions and the three-domain variants.
+//! Lowering is total: a compiled scheduler over a flat store runs every
+//! rule native, and a design with a rule that does not lower is refused
+//! when the scheduler is built (see `bcl_core::compile`'s "What is
+//! rejected"). This pins that the ten Figure 13 partitions and the
+//! three-domain variants all build and run compiled, that the backend
+//! `Cosim::new` is asked for reaches both sides, and that a compiled
+//! co-simulation refuses, by name, a rule that does not lower.
 
+use bcl_core::ast::Expr;
+use bcl_core::builder::{dsl::*, ModuleBuilder};
+use bcl_core::design::Design;
+use bcl_core::domain::{HW, SW};
+use bcl_core::partition::partition;
+use bcl_core::program::Program;
 use bcl_core::sched::ExecBackend;
+use bcl_core::types::Type;
+use bcl_core::value::Value;
+use bcl_platform::cosim::Cosim;
+use bcl_platform::link::LinkConfig;
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{build_cosim as rt_build_cosim, RtPartition};
@@ -42,4 +54,58 @@ fn raytrace_partitions_run_fully_compiled() {
             part.label()
         );
     }
+}
+
+/// src(SW) -> toHw -> echo(HW) -> toSw -> snk(SW), where `echo` adds
+/// `bias` to every item.
+fn echo_design(bias: Expr) -> Design {
+    let mut m = ModuleBuilder::new("Echo");
+    m.source("src", Type::Int(32), SW);
+    m.sink("snk", Type::Int(32), SW);
+    m.channel("toHw", 2, Type::Int(32), SW, HW);
+    m.channel("toSw", 2, Type::Int(32), HW, SW);
+    m.rule("feed", with_first("x", "src", enq("toHw", var("x"))));
+    m.rule(
+        "echo",
+        with_first("x", "toHw", enq("toSw", add(var("x"), bias))),
+    );
+    m.rule("drain", with_first("x", "toSw", enq("snk", var("x"))));
+    bcl_core::elaborate(&Program::with_root(m.build())).unwrap()
+}
+
+#[test]
+fn cosim_new_runs_the_requested_backend_on_both_sides() {
+    let parts = partition(&echo_design(cint(32, 1)), SW).unwrap();
+    for backend in [ExecBackend::Compiled, ExecBackend::Naive] {
+        let mut cs =
+            Cosim::new(&parts, SW, HW, LinkConfig::default(), backend.sw_options()).unwrap();
+        let want = if backend.compiled() { 0 } else { 3 };
+        assert_eq!(cs.interpreted_rules(), want, "{backend:?}");
+        for i in 0..8 {
+            cs.push_source("src", Value::int(32, i));
+        }
+        let out = cs.run_until(|c| c.sink_count("snk") == 8, 100_000).unwrap();
+        assert!(out.is_done(), "{backend:?}: {out:?}");
+        // Only event-driven schedulers, software or hardware, skip a
+        // guard evaluation.
+        let (_, skipped) = cs.guard_eval_totals();
+        assert_eq!(skipped > 0, backend.event_driven(), "{backend:?}");
+    }
+}
+
+#[test]
+fn compiled_cosim_refuses_a_rule_that_does_not_lower() {
+    // Vector elements of unequal layouts: the reference interprets it,
+    // the compiled backend refuses the design.
+    let hetero = mkvec(vec![cint(32, 0), Expr::Const(Value::bits(32, 0))]);
+    let parts = partition(&echo_design(index(hetero, cint(32, 0))), SW).unwrap();
+    let build = |backend: ExecBackend| {
+        Cosim::new(&parts, SW, HW, LinkConfig::default(), backend.sw_options())
+    };
+    let err = build(ExecBackend::Compiled).unwrap_err().to_string();
+    assert!(
+        err.contains("rule `echo`: its body does not lower"),
+        "{err}"
+    );
+    assert_eq!(build(ExecBackend::Naive).unwrap().interpreted_rules(), 3);
 }

@@ -47,7 +47,7 @@ fn hand_written_hardware_behind_the_generated_interface() {
     let hw_design = parts.partition(HW).unwrap().clone();
 
     // Generated pieces: the software partition and the transactor.
-    let mut sw = SwRunner::new(&sw_design, SwOptions::default());
+    let mut sw = SwRunner::new(&sw_design, SwOptions::default()).unwrap();
     let mut hw_store = Store::new(&hw_design);
     let mut link = Link::new(LinkConfig::default());
     let mut transactor = Transactor::new(&parts.channels, SW, &sw_design, HW, &hw_design).unwrap();

@@ -13,7 +13,7 @@ use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::domain::{HW, SW};
 use bcl_core::partition::partition;
 use bcl_core::program::Program;
-use bcl_core::sched::SwOptions;
+use bcl_core::sched::{ExecBackend, SwOptions};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_platform::cosim::{Cosim, PartitionLifecycle, RecoveryPolicy};
@@ -56,23 +56,22 @@ fn echo_cosim(schedule: &[PartitionFault]) -> Cosim {
 }
 
 fn echo_cosim_on(schedule: &[PartitionFault], flat: bool) -> Cosim {
-    let mut faults = FaultConfig::none();
-    for &f in schedule {
-        faults = faults.with_partition_fault(f);
-    }
-    let parts = partition(&echo_design(), SW).unwrap();
-    let mut cs = Cosim::with_faults(
-        &parts,
-        SW,
-        HW,
-        LinkConfig::default(),
-        faults,
+    echo_cosim_with(
+        schedule,
         SwOptions {
             flat,
             ..SwOptions::default()
         },
     )
-    .unwrap();
+}
+
+fn echo_cosim_with(schedule: &[PartitionFault], opts: SwOptions) -> Cosim {
+    let mut faults = FaultConfig::none();
+    for &f in schedule {
+        faults = faults.with_partition_fault(f);
+    }
+    let parts = partition(&echo_design(), SW).unwrap();
+    let mut cs = Cosim::with_faults(&parts, SW, HW, LinkConfig::default(), faults, opts).unwrap();
     cs.set_recovery_policy(RecoveryPolicy::failover(100));
     for i in 0..INPUTS {
         cs.push_source("src", Value::int(32, i * 3 + 1));
@@ -219,6 +218,37 @@ fn reviving_state_resumes_identically() {
     let (vals_b, cycles_b) = finish(&mut resumed);
     assert_eq!(vals_a, vals_b);
     assert_eq!(cycles_a, cycles_b);
+}
+
+/// The snapshot does not record whether the partition ran compiled; a
+/// compiled cosim resumed while the partition is software-owned must
+/// still revive it compiled, like the uninterrupted run.
+#[test]
+fn resumed_compiled_cosim_revives_its_partition_compiled() {
+    let compiled = || echo_cosim_with(DIE_REVIVE, ExecBackend::Compiled.sw_options());
+    let mut original = compiled();
+    run_to_cycle(&mut original, FIXTURE_CYCLE);
+    assert_eq!(
+        original.partition_lifecycle(HW),
+        Some(PartitionLifecycle::SoftwareOwned)
+    );
+    let bytes = original.snapshot_bytes().unwrap();
+    let mut resumed = compiled();
+    resumed.resume_from(&mut &bytes[..]).unwrap();
+    let (vals_a, cycles_a) = finish(&mut original);
+    let (vals_b, cycles_b) = finish(&mut resumed);
+    assert_eq!((vals_a, cycles_a), (vals_b, cycles_b));
+    for cs in [&original, &resumed] {
+        assert_eq!(
+            cs.partition_lifecycle(HW),
+            Some(PartitionLifecycle::Running)
+        );
+        assert_eq!(
+            cs.interpreted_rules(),
+            0,
+            "the revived partition interprets"
+        );
+    }
 }
 
 #[test]

@@ -307,7 +307,7 @@ proptest! {
             &d,
             sw_store,
             SwOptions { strategy: Strategy::Dataflow, ..Default::default() },
-        );
+        ).unwrap();
         sw.run_until_quiescent(1_000_000).unwrap();
 
         let snk = d.prim_id("snk").unwrap();

@@ -93,7 +93,7 @@ fn run_sw_opts(
     inputs: &[i64],
     opts: SwOptions,
 ) -> (Vec<bool>, Vec<u64>, u64, Vec<i64>, u64) {
-    let mut r = SwRunner::with_store(design, preload(design, inputs, opts.flat), opts);
+    let mut r = SwRunner::with_store(design, preload(design, inputs, opts.flat), opts).unwrap();
     let mut trace = Vec::new();
     for _ in 0..100_000 {
         let fired = r.step().unwrap();
@@ -139,7 +139,7 @@ fn run_hw_on(
 ) -> (Vec<usize>, Vec<u64>, u64, usize, Vec<i64>, u64, u64) {
     let mut sim = HwSim::with_store(design, preload(design, inputs, compiled)).unwrap();
     sim.event_driven = event_driven;
-    sim.compiled = compiled;
+    sim.set_compiled(compiled);
     let mut trace = Vec::new();
     for _ in 0..100_000 {
         let fired = sim.step().unwrap();
@@ -264,7 +264,7 @@ proptest! {
 fn hw_quiescent_cycles_cost_no_guard_evals() {
     let design = test_design(3, 2);
     let mut sim = HwSim::with_store(&design, Store::new_flat(&design)).unwrap();
-    sim.compiled = true;
+    sim.set_compiled(true);
     assert_eq!(sim.step().unwrap(), 0);
     let after_first = sim.report().guard_evals;
     for _ in 0..50 {

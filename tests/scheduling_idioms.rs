@@ -89,12 +89,14 @@ fn consumed(d: &Design, s: &Store) -> Vec<i64> {
 fn both_idioms_transfer_the_frame_in_software() {
     for words in [0i64, 3, 8, 12] {
         let dsw = xfer_sw_design();
-        let mut sw = SwRunner::with_store(&dsw, preload(&dsw, words), SwOptions::default());
+        let mut sw =
+            SwRunner::with_store(&dsw, preload(&dsw, words), SwOptions::default()).unwrap();
         sw.run_until_quiescent(10_000).unwrap();
         let out_sw = consumed(&dsw, &sw.store);
 
         let dhw = xfer_hw_design();
-        let mut hw_as_sw = SwRunner::with_store(&dhw, preload(&dhw, words), SwOptions::default());
+        let mut hw_as_sw =
+            SwRunner::with_store(&dhw, preload(&dhw, words), SwOptions::default()).unwrap();
         hw_as_sw.run_until_quiescent(10_000).unwrap();
         let out_hw = consumed(&dhw, &hw_as_sw.store);
 
@@ -110,7 +112,7 @@ fn xfer_sw_moves_the_frame_in_one_atomic_step() {
     // is identical, though the schedules are completely different": the
     // loop idiom finishes the whole frame in one rule firing.
     let d = xfer_sw_design();
-    let mut sw = SwRunner::with_store(&d, preload(&d, FRAME_SZ), SwOptions::default());
+    let mut sw = SwRunner::with_store(&d, preload(&d, FRAME_SZ), SwOptions::default()).unwrap();
     assert!(sw.step().unwrap(), "one firing");
     assert_eq!(consumed(&d, &sw.store).len(), FRAME_SZ as usize);
     // After the frame, the rule still fires (its loop immediately
@@ -156,7 +158,8 @@ fn dataflow_scheduler_amortizes_word_at_a_time_rules() {
             strategy: Strategy::Dataflow,
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     let fired = sw.run_until_quiescent(1_000).unwrap();
     assert_eq!(fired, FRAME_SZ as u64);
     let report = sw.report();

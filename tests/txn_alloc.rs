@@ -19,6 +19,10 @@
 //! structs through every rule; run compiled, its rules work on packed
 //! frame regions, and the only allocations left per frame are the
 //! decoded output the sink keeps and the growth of the sink's list.
+//!
+//! A message crossing a perfect link reuses the transactor's receive
+//! buffer and a word buffer of an earlier delivered message, so the ray
+//! tracer's per-ray allocations are what its software side keeps.
 
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
@@ -31,6 +35,9 @@ use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::xform::ExecMode;
 use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
+use bcl_raytrace::bvh::build_bvh;
+use bcl_raytrace::geom::make_scene;
+use bcl_raytrace::partitions::{build_cosim as rt_build_cosim, RtPartition};
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{build_cosim as vorbis_build_cosim, VorbisPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,7 +181,7 @@ fn sw_design() -> Design {
 fn hw_step_allocates_nothing_in_steady_state() {
     let d = hw_design();
     let mut sim = HwSim::with_store(&d, Store::new_flat(&d)).unwrap();
-    sim.compiled = true;
+    sim.set_compiled(true);
     for _ in 0..200 {
         sim.step().unwrap();
     }
@@ -208,7 +215,7 @@ fn sw_step_allocates_nothing_in_steady_state() {
         strategy: Strategy::Priority,
         ..ExecBackend::Compiled.sw_options()
     };
-    let mut sw = SwRunner::new(&d, opts);
+    let mut sw = SwRunner::new(&d, opts).unwrap();
     assert_eq!(sw.plan(0).mode, ExecMode::Transactional);
     assert!(sw.plan(0).residual, "step's guard must stay in the body");
     for _ in 0..200 {
@@ -299,5 +306,38 @@ fn vorbis_software_run_allocates_only_the_sink_output() {
     assert!(
         allocs <= 8 * VORBIS_FRAMES as u64,
         "{allocs} allocations for {VORBIS_FRAMES} frames"
+    );
+}
+
+/// Allocations during the run of ray tracer partition C (traversal and
+/// intersection in hardware, 12 words per ray over a perfect link) over
+/// a `side`×`side` image, construction and queued rays excluded.
+fn raytrace_c_run_allocs(side: usize) -> u64 {
+    let bvh = build_bvh(&make_scene(64, 5));
+    let mut cosim =
+        rt_build_cosim(RtPartition::C, &bvh, side, side, ExecBackend::Compiled).unwrap();
+    let rays = side * side;
+    let mut done = false;
+    let allocs = allocs_during(|| {
+        done = cosim
+            .run_until(|c| c.sink_count("bitmap") == rays, 100_000_000)
+            .unwrap()
+            .is_done();
+    });
+    assert!(done, "the tracer did not finish at {side}x{side}");
+    allocs
+}
+
+#[test]
+fn raytrace_run_allocates_at_most_three_times_per_ray() {
+    // The per-scene share cancels in the difference of two image sizes.
+    // What is left per ray is the `{pix, shade}` struct the sink keeps
+    // (its field vector and two field names), plus the sink list's two
+    // doublings from 64 to 256 entries.
+    let (small, large) = (raytrace_c_run_allocs(8), raytrace_c_run_allocs(16));
+    let extra_rays = 16 * 16 - 8 * 8;
+    assert!(
+        large.saturating_sub(small) <= 3 * extra_rays + 2,
+        "{small} allocations at 8x8, {large} at 16x16: more than 3 per ray"
     );
 }
