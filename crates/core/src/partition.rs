@@ -376,137 +376,48 @@ fn rewrite_expr(
     })
 }
 
-/// A [`Partitioned`] design re-fused into one (software-runnable) design.
+/// Re-fuses a partitioned design into one (software-runnable) design.
 ///
 /// This is the inverse of [`partition`] up to renaming: each channel's
 /// tx/rx FIFO halves collapse back into a single FIFO named after the
-/// original synchronizer, and every partition's remaining primitives and
-/// rules are spliced in with their ids remapped. Because synchronizer
-/// edges are latency-insensitive, the fused design produces the same
-/// value streams as the partitioned one — which is what lets a failed
-/// hardware partition be taken over by software at runtime.
-#[derive(Debug, Clone)]
-pub struct FusedPartition {
-    /// The merged all-software design.
-    pub design: Design,
-    /// Per domain: partition-local primitive index → fused [`PrimId`].
-    /// Channel tx/rx halves both map to the merged channel FIFO.
-    pub prim_map: BTreeMap<String, Vec<PrimId>>,
-    /// Per channel (index-aligned with [`Partitioned::channels`]), the
-    /// fused id of the merged FIFO.
-    pub channel_fifos: Vec<PrimId>,
-}
-
-/// Re-fuses a partitioned design into a single design (see
-/// [`FusedPartition`]).
+/// original synchronizer, and every partition's primitives and rules are
+/// spliced in. It folds [`fuse_domains`] over every domain but the
+/// first, so it is the same fusion a failover performs. Because
+/// synchronizer edges are latency-insensitive, the fused design produces
+/// the same value streams as the partitioned one.
 ///
 /// # Errors
 ///
 /// Reports rules that reference primitives outside their own partition
 /// (cannot happen for the output of [`partition`]).
-pub fn fuse_partitioned(p: &Partitioned) -> Result<FusedPartition, DomainError> {
-    let base = p
-        .partitions
-        .iter()
-        .next()
-        .and_then(|(dom, d)| d.name.strip_suffix(&format!(".{dom}")))
-        .unwrap_or("design")
-        .to_string();
-    let mut design = Design {
-        name: format!("{base}.fused"),
-        ..Default::default()
+pub fn fuse_partitioned(p: &Partitioned) -> Result<Design, DomainError> {
+    let mut domains = p.partitions.keys();
+    let Some(into) = domains.next() else {
+        return Ok(Design::default());
     };
-
-    // One merged FIFO per channel, plus a lookup from each partition-side
-    // endpoint path to its channel.
-    let mut channel_fifos = Vec::with_capacity(p.channels.len());
-    let mut endpoint: HashMap<(&str, &str), usize> = HashMap::new();
-    for (i, c) in p.channels.iter().enumerate() {
-        let id = PrimId(design.prims.len());
-        design.prims.push(PrimDef {
-            path: Path::new(&c.name),
-            spec: PrimSpec::Fifo {
-                depth: c.depth,
-                ty: c.ty.clone(),
-            },
-        });
-        channel_fifos.push(id);
-        endpoint.insert((c.from_domain.as_str(), c.tx_path.as_str()), i);
-        endpoint.insert((c.to_domain.as_str(), c.rx_path.as_str()), i);
+    let mut fused = None;
+    for d in domains {
+        fused = Some(fuse_domains(fused.as_ref().unwrap_or(p), d, into)?.parts);
     }
-
-    // Move every non-endpoint primitive, recording the id remap.
-    let mut prim_map: BTreeMap<String, Vec<PrimId>> = BTreeMap::new();
-    for (dom, part) in &p.partitions {
-        let mut ids = Vec::with_capacity(part.prims.len());
-        for prim in &part.prims {
-            if let Some(&ci) = endpoint.get(&(dom.as_str(), prim.path.0.as_str())) {
-                ids.push(channel_fifos[ci]);
-            } else {
-                let id = PrimId(design.prims.len());
-                design.prims.push(prim.clone());
-                ids.push(id);
-            }
-        }
-        prim_map.insert(dom.clone(), ids);
-    }
-
-    // Splice every partition's rules in, remapping targets. Enq/Deq on a
-    // tx or rx half become Enq/Deq on the merged FIFO.
-    for (dom, part) in &p.partitions {
-        let ids = &prim_map[dom];
-        for r in &part.rules {
-            let body = rewrite_action(&r.body, &|t| match t {
-                Target::Prim(id, m) => {
-                    ids.get(id.0)
-                        .map(|nid| Target::Prim(*nid, *m))
-                        .ok_or_else(|| {
-                            DomainError::new(format!(
-                                "rule `{}` in `{dom}` references out-of-partition primitive {}",
-                                r.name, id.0
-                            ))
-                        })
-                }
-                Target::Named(p, m) => Err(DomainError::new(format!(
-                    "unelaborated call `{p}.{m}` cannot be fused"
-                ))),
-            })?;
-            design.rules.push(RuleDef {
-                name: format!("{dom}.{}", r.name),
-                body,
-            });
-        }
-    }
-
-    Ok(FusedPartition {
-        design,
-        prim_map,
-        channel_fifos,
-    })
+    let mut fused = fused.unwrap_or_else(|| p.clone());
+    Ok(fused
+        .partitions
+        .remove(into)
+        .expect("fusion keeps the `into` partition"))
 }
 
 /// The result of fusing one domain into another (see [`fuse_domains`]).
 ///
 /// Channels that ran *between* the two merged domains collapse into
-/// internal FIFOs of the merged partition; channels between a merged
-/// domain and any third domain survive with their endpoint paths
-/// unchanged. The maps let a runtime splice live state (a checkpointed
-/// store) from the old partitions into the merged one.
+/// internal FIFOs of the merged partition, named after the channel;
+/// channels between a merged domain and any third domain survive with
+/// their endpoint paths unchanged. Every other primitive keeps its path,
+/// so a runtime migrates live state into the merged partition by path.
 #[derive(Debug, Clone)]
 pub struct DomainFusion {
     /// The partitioning after the merge: `absorb` is gone, `into` holds
     /// the merged design, every other partition is untouched.
     pub parts: Partitioned,
-    /// `absorb`-partition-local primitive index → [`PrimId`] in the
-    /// merged design. Endpoints of internalized channels map to the
-    /// merged FIFO.
-    pub absorb_map: Vec<PrimId>,
-    /// `into`-partition-local primitive index → [`PrimId`] in the merged
-    /// design. Endpoints of internalized channels map to the merged FIFO.
-    pub into_map: Vec<PrimId>,
-    /// Per *original* channel index: the merged FIFO's id if the channel
-    /// was internalized, else `None`.
-    pub internalized: Vec<Option<PrimId>>,
     /// Per *original* channel index: the index of the surviving channel
     /// in `parts.channels`, else `None` if internalized.
     pub channel_map: Vec<Option<usize>>,
@@ -515,13 +426,12 @@ pub struct DomainFusion {
 /// Fuses the `absorb` domain into the `into` domain, leaving every other
 /// partition untouched (§4.4 generalized to domain subsets).
 ///
-/// This is the partial inverse of [`partition`]: where
-/// [`fuse_partitioned`] collapses *all* domains back into one design,
-/// `fuse_domains` collapses exactly two. It is what lets a single dying
-/// hardware partition fail over to software while the surviving
-/// partitions keep executing in hardware — the dead domain's rules and
-/// state move into the software partition, and only the channels that
-/// connected the two merged domains disappear.
+/// This is the partial inverse of [`partition`]: it collapses exactly
+/// two domains ([`fuse_partitioned`] folds it over all of them). It is
+/// what lets a single dying hardware partition fail over to software
+/// while the surviving partitions keep executing in hardware — the dead
+/// domain's rules and state move into the software partition, and only
+/// the channels that connected the two merged domains disappear.
 ///
 /// Because every channel edge is latency-insensitive, the merged network
 /// produces the same value streams as the original partitioning.
@@ -549,13 +459,25 @@ pub fn fuse_domains(
     };
 
     // Channels between the two merged domains become internal FIFOs of
-    // the merged design, named after the original synchronizer.
-    let mut internalized: Vec<Option<PrimId>> = vec![None; p.channels.len()];
+    // the merged design, named after the original synchronizer. The
+    // others survive; their endpoints in `absorb` are re-homed to `into`,
+    // and their paths are unchanged because `place` below preserves them.
     let mut endpoint: HashMap<(&str, &str), PrimId> = HashMap::new();
-    for (i, c) in p.channels.iter().enumerate() {
+    let mut channels = Vec::new();
+    let mut channel_map: Vec<Option<usize>> = Vec::with_capacity(p.channels.len());
+    for c in &p.channels {
         let between = (c.from_domain == absorb && c.to_domain == into)
             || (c.from_domain == into && c.to_domain == absorb);
         if !between {
+            let mut c = c.clone();
+            if c.from_domain == absorb {
+                c.from_domain = into.to_string();
+            }
+            if c.to_domain == absorb {
+                c.to_domain = into.to_string();
+            }
+            channel_map.push(Some(channels.len()));
+            channels.push(c);
             continue;
         }
         let id = PrimId(merged.prims.len());
@@ -566,7 +488,7 @@ pub fn fuse_domains(
                 ty: c.ty.clone(),
             },
         });
-        internalized[i] = Some(id);
+        channel_map.push(None);
         endpoint.insert((c.from_domain.as_str(), c.tx_path.as_str()), id);
         endpoint.insert((c.to_domain.as_str(), c.rx_path.as_str()), id);
     }
@@ -618,25 +540,6 @@ pub fn fuse_domains(
         }
     }
 
-    // Surviving channels: endpoints in `absorb` are re-homed to `into`;
-    // paths are unchanged because `place` preserved them.
-    let mut channels = Vec::new();
-    let mut channel_map: Vec<Option<usize>> = vec![None; p.channels.len()];
-    for (i, c) in p.channels.iter().enumerate() {
-        if internalized[i].is_some() {
-            continue;
-        }
-        let mut c = c.clone();
-        if c.from_domain == absorb {
-            c.from_domain = into.to_string();
-        }
-        if c.to_domain == absorb {
-            c.to_domain = into.to_string();
-        }
-        channel_map[i] = Some(channels.len());
-        channels.push(c);
-    }
-
     let mut partitions: BTreeMap<String, Design> = p
         .partitions
         .iter()
@@ -650,12 +553,9 @@ pub fn fuse_domains(
             partitions,
             channels,
             // Note: the DomainMap still describes the *original* design;
-            // it is kept for reference only, as in `fuse_partitioned`.
+            // it is kept for reference only.
             map: p.map.clone(),
         },
-        absorb_map,
-        into_map,
-        internalized,
         channel_map,
     })
 }
@@ -980,24 +880,22 @@ mod tests {
         let p = partition(&sample(), SW).unwrap();
         let fp = fuse_partitioned(&p).unwrap();
         // The two synchronizers come back as single FIFOs under their
-        // original names, and both halves map to the merged FIFO.
-        assert_eq!(fp.channel_fifos.len(), 2);
-        let in_fifo = fp.design.prim_id("inSync").unwrap();
-        assert_eq!(fp.channel_fifos[0], in_fifo);
-        let sw_part = p.partition(SW).unwrap();
-        let sw_tx_local = sw_part.prim_id("inSync.tx").unwrap();
-        assert_eq!(fp.prim_map[SW][sw_tx_local.0], in_fifo);
-        let hw_part = p.partition(HW).unwrap();
-        let hw_rx_local = hw_part.prim_id("inSync.rx").unwrap();
-        assert_eq!(fp.prim_map[HW][hw_rx_local.0], in_fifo);
+        // original names, and neither half survives.
+        for sync in ["inSync", "outSync"] {
+            assert!(fp.prim_id(sync).is_some(), "{sync} merged");
+            for half in ["tx", "rx"] {
+                assert!(fp.prim_id(&format!("{sync}.{half}")).is_none());
+            }
+        }
+        assert_eq!(fp.prims.len(), 4, "src, snk and the two merged FIFOs");
         // The fused design computes the same stream as the original.
-        let src = fp.design.prim_id("src").unwrap();
-        let snk = fp.design.prim_id("snk").unwrap();
-        let mut store = crate::store::Store::new(&fp.design);
+        let src = fp.prim_id("src").unwrap();
+        let snk = fp.prim_id("snk").unwrap();
+        let mut store = crate::store::Store::new(&fp);
         for i in 0..4 {
             store.push_source(src, Value::int(32, i));
         }
-        let mut r = SwRunner::with_store(&fp.design, store, SwOptions::default()).unwrap();
+        let mut r = SwRunner::with_store(&fp, store, SwOptions::default()).unwrap();
         r.run_until_quiescent(1000).unwrap();
         let out: Vec<i64> = r
             .store
@@ -1137,16 +1035,14 @@ mod tests {
         assert_eq!(sw.rules.len(), 3, "feed + drain + stage2");
         // s3 (HW2 -> SW) collapsed into an internal FIFO; s1/s2 survive,
         // with s2's consumer re-homed to SW.
-        assert_eq!(
-            f.internalized[2].map(|id| sw.prims[id.0].path.0.clone()),
-            Some("s3".to_string())
-        );
+        assert!(sw.prim_id("s3").is_some());
+        assert!(sw.prim_id("s3.rx").is_none());
         assert_eq!(f.channel_map, vec![Some(0), Some(1), None]);
         assert_eq!(f.parts.channels[1].to_domain, SW);
         assert_eq!(f.parts.channels[1].rx_path, "s2.rx");
         // The merged network still computes the same streams.
         let fp = fuse_partitioned(&f.parts).unwrap();
-        assert_eq!(run_fused(&fp.design, "src", "snk", 4), vec![11, 12, 13, 14]);
+        assert_eq!(run_fused(&fp, "src", "snk", 4), vec![11, 12, 13, 14]);
     }
 
     #[test]
@@ -1204,7 +1100,7 @@ mod tests {
         assert_eq!(fission.parts.channels[0].to_domain, "HW2");
         // The split network still computes the same streams.
         let fp = fuse_partitioned(&fission.parts).unwrap();
-        assert_eq!(run_fused(&fp.design, "src", "snk", 4), vec![11, 12, 13, 14]);
+        assert_eq!(run_fused(&fp, "src", "snk", 4), vec![11, 12, 13, 14]);
     }
 
     #[test]
@@ -1220,7 +1116,7 @@ mod tests {
     #[test]
     fn fuse_partitioned_round_trips_every_sample_design() {
         // fuse_partitioned(partition(d)) == d up to renaming: same
-        // primitives (with syncs as FIFOs), same rules, same streams.
+        // primitives (with syncs as FIFOs), same rule names, same streams.
         for (d, expect) in [
             (sample(), vec![1, 2, 3, 4]),
             (sample3(), vec![11, 12, 13, 14]),
@@ -1238,32 +1134,15 @@ mod tests {
                 v.sort();
                 v
             };
-            assert_eq!(prims(&fp.design), prims(&reference), "{}", d.name);
-            let rules = |rs: &[RuleDef], strip: bool| {
-                let mut v: Vec<String> = rs
-                    .iter()
-                    .map(|r| {
-                        if strip {
-                            r.name
-                                .split_once('.')
-                                .map_or(r.name.as_str(), |(_, rest)| rest)
-                                .to_string()
-                        } else {
-                            r.name.clone()
-                        }
-                    })
-                    .collect();
+            assert_eq!(prims(&fp), prims(&reference), "{}", d.name);
+            let rules = |d: &Design| {
+                let mut v: Vec<String> = d.rules.iter().map(|r| r.name.clone()).collect();
                 v.sort();
                 v
             };
+            assert_eq!(rules(&fp), rules(&reference), "{}", d.name);
             assert_eq!(
-                rules(&fp.design.rules, true),
-                rules(&reference.rules, false),
-                "{}",
-                d.name
-            );
-            assert_eq!(
-                run_fused(&fp.design, "src", "snk", 4),
+                run_fused(&fp, "src", "snk", 4),
                 expect,
                 "{}: fused behavior",
                 d.name

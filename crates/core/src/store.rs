@@ -1193,40 +1193,6 @@ impl Store {
         }
     }
 
-    /// Captures a deep copy of every primitive's committed state —
-    /// register contents, FIFO occupancy, register files, and the
-    /// source/sink queues. This is the state half of a checkpoint; pair
-    /// it with [`Store::restore`] to rewind a run.
-    pub fn snapshot(&self) -> Store {
-        self.clone()
-    }
-
-    /// Restores every primitive to a previously captured snapshot.
-    /// After this call the store is bit-identical to the moment
-    /// [`Store::snapshot`] was taken. Everything is marked dirty: guard
-    /// caches must be invalidated and the checkpoint mirror is stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a different design
-    /// (primitive count mismatch).
-    pub fn restore(&mut self, snap: &Store) {
-        assert_eq!(self.len(), snap.len(), "snapshot from a different design");
-        match (&mut self.backend, &snap.backend) {
-            (Backend::Tree { states, .. }, Backend::Tree { states: from, .. }) => {
-                states.clone_from(from);
-            }
-            (Backend::Flat(f), Backend::Flat(from)) => {
-                f.arena.clone_from(&from.arena);
-                f.dyns.clone_from(&from.dyns);
-                f.spills.clone_from(&from.spills);
-            }
-            _ => panic!("snapshot from a different store backend"),
-        }
-        self.sched_dirty.mark_all();
-        self.ckpt_dirty.mark_all();
-    }
-
     /// Captures an incremental snapshot: deep-copies only the primitives
     /// mutated since the previous `snapshot_cow` (or since creation), and
     /// aliases the rest from the copy-on-write mirror. The returned
@@ -2405,15 +2371,16 @@ mod tests {
         s.state_mut(Q)
             .call_action(PrimMethod::Enq, &[Value::int(8, 5)])
             .unwrap();
-        let snap = s.snapshot();
+        let copy = s.clone();
+        let snap = s.snapshot_cow();
         // Mutate everything, then rewind.
         s.state_mut(A)
             .call_action(PrimMethod::RegWrite, &[Value::int(8, 1)])
             .unwrap();
         s.state_mut(Q).call_action(PrimMethod::Deq, &[]).unwrap();
-        assert_ne!(s, snap);
-        s.restore(&snap);
-        assert_eq!(s, snap);
+        assert_ne!(s, copy);
+        s.restore_cow(&snap);
+        assert_eq!(s, copy);
         assert_eq!(
             s.state(A).call_value(PrimMethod::RegRead, &[]).unwrap(),
             Value::int(8, 7)
@@ -2655,7 +2622,6 @@ mod tests {
                 f(s);
                 assert!(s.write_gen() > before, "{what} (flat={flat}) did not bump");
             };
-            let snap = s.snapshot();
             let cow = s.snapshot_cow();
             bumps(&mut s, "call_action_at", &mut |s| {
                 s.call_action_at(Q, PrimMethod::Enq, &[Value::int(8, 3)])
@@ -2686,8 +2652,11 @@ mod tests {
                     .unwrap();
                 t.commit();
             });
-            bumps(&mut s, "restore", &mut |s| s.restore(&snap));
+            let mid = s.snapshot_cow();
             bumps(&mut s, "restore_cow", &mut |s| s.restore_cow(&cow));
+            bumps(&mut s, "restore_cow (mid-run cut)", &mut |s| {
+                s.restore_cow(&mid);
+            });
 
             let before = s.write_gen();
             s.drain_sched_dirty(&mut Vec::new());

@@ -104,7 +104,7 @@ pub fn replay(src: &str) -> Result<(), String> {
     // Fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
-    let fused_out = run_sw(&fused.design, ExecBackend::Compiled)?;
+    let fused_out = run_sw(&fused, ExecBackend::Compiled)?;
     if fused_out != naive {
         return Err(format!(
             "fused design disagrees:\n  fused {fused_out:?}\n  naive {naive:?}"

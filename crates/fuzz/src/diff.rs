@@ -145,8 +145,8 @@ fn run_case_inner(
     // Fused single-process design.
     let parts = partition(&design, SW).map_err(|e| format!("partition: {e}"))?;
     let fused = fuse_partitioned(&parts).map_err(|e| format!("fuse: {e}"))?;
-    let fused_run = run_sw(&fused.design, spec, ExecBackend::Compiled)?;
-    let got = sink_ints(&fused.design, &fused_run, "snk")?;
+    let fused_run = run_sw(&fused, spec, ExecBackend::Compiled)?;
+    let got = sink_ints(&fused, &fused_run, "snk")?;
     if got != gold {
         return Err(format!(
             "fused design disagrees with gold model:\n  got  {got:?}\n  want {gold:?}"

@@ -41,6 +41,7 @@ use bcl_core::sched::{HwSim, HwSnapshot, SwOptions, SwRunner, SwSnapshot};
 use bcl_core::store::{Store, StoreSnapshot};
 use bcl_core::value::Value;
 use std::cell::OnceCell;
+use std::collections::{HashMap, VecDeque};
 
 /// How a co-simulation ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -965,6 +966,23 @@ struct Topology {
     routes: Vec<RouteKind>,
 }
 
+/// What [`Cosim::splice_out`] retired: the state a failover migrates
+/// into the fused software store.
+struct Retired {
+    sw_store: Store,
+    sw_design: Design,
+    part: HwPart,
+    /// The partitioning before the splice.
+    parts: Partitioned,
+    /// Per channel of `parts`, its index after the splice, or `None` if
+    /// it became an internal FIFO of the software design.
+    channel_map: Vec<Option<usize>>,
+}
+
+/// Path prefix of the software-side FIFOs that carry hub-routed
+/// HW → HW channels.
+const HUB_PREFIX: &str = "__hub.";
+
 /// Classifies every channel of `p` against the hardware partitions in
 /// `domains` (in order) and plans the physical topology.
 fn plan_topology(
@@ -1023,7 +1041,7 @@ fn plan_topology(
                 InterHwRouting::ViaHub => {
                     // The hub FIFO lives in the software design; the
                     // channel becomes two latency-insensitive hops.
-                    let hub_path = format!("__hub.{}", c.name);
+                    let hub_path = format!("{HUB_PREFIX}{}", c.name);
                     let hub = PrimId(sw_design.prims.len());
                     sw_design.prims.push(PrimDef {
                         path: Path::new(&hub_path),
@@ -1217,7 +1235,7 @@ impl Cosim {
             .map_err(|e| PlatformError::new(e.to_string()))?;
 
         let mut parts_list = Vec::with_capacity(active.len());
-        for (cfg, specs) in active.iter().zip(&topo.part_specs) {
+        for cfg in &active {
             let design = p
                 .partition(&cfg.domain)
                 .map_err(|e| PlatformError::new(e.to_string()))?
@@ -1226,20 +1244,12 @@ impl Cosim {
                 .map_err(|e| PlatformError::new(e.to_string()))?;
             hw.event_driven = cfg.event_driven;
             hw.set_compiled(cfg.compiled);
-            let transactor = if specs.is_empty() {
-                None
-            } else {
-                Some(
-                    Transactor::new(specs, sw_domain, &topo.sw_design, &cfg.domain, &design)
-                        .map_err(|e| PlatformError::new(e.to_string()))?,
-                )
-            };
             let fault_schedule = cfg.faults.partition.clone();
             parts_list.push(HwPart {
                 domain: cfg.domain.clone(),
                 design,
                 hw,
-                transactor,
+                transactor: None,
                 link: Link::with_faults(cfg.link, cfg.faults.clone()),
                 clock_div: cfg.clock_div.max(1),
                 alive: true,
@@ -1251,36 +1261,12 @@ impl Cosim {
             });
         }
 
-        let mut fabric = Vec::with_capacity(topo.fabric.len());
-        for (a, b, specs) in &topo.fabric {
-            let (link_cfg, link_faults) = match &routing {
-                InterHwRouting::Fabric { link, faults } => (*link, faults.clone()),
-                InterHwRouting::ViaHub => unreachable!("hub routing plans no fabric"),
-            };
-            let transactor = Transactor::new(
-                specs,
-                &parts_list[*a].domain,
-                &parts_list[*a].design,
-                &parts_list[*b].domain,
-                &parts_list[*b].design,
-            )
-            .map_err(|e| PlatformError::new(e.to_string()))?;
-            fabric.push(FabricLink {
-                a: *a,
-                b: *b,
-                transactor,
-                link: Link::with_faults(link_cfg, link_faults),
-                last_progress: 0,
-                last_progress_cycle: 0,
-            });
-        }
-
-        Ok(Cosim {
+        let mut cosim = Cosim {
             sw,
-            sw_design: topo.sw_design,
+            sw_design: Design::default(),
             parts_list,
-            fabric,
-            routes: topo.routes,
+            fabric: Vec::new(),
+            routes: Vec::new(),
             parts: p.clone(),
             fpga_cycles: 0,
             sw_debt: 0,
@@ -1305,7 +1291,9 @@ impl Cosim {
             fingerprint: OnceCell::new(),
             autosave: None,
             autosave_next: 0,
-        })
+        };
+        cosim.adopt(topo)?;
+        Ok(cosim)
     }
 
     /// Selects the recovery policy for scripted partition faults. Set it
@@ -1807,12 +1795,28 @@ impl Cosim {
                     "resume context: absorbed list disagrees with software-owned records",
                 ));
             }
-            // Replay the failover splices *structurally* (fuse the
-            // domains, rebuild runners/transactors/fabric) so the
-            // topology matches the snapshot; the state lands with the
-            // restore below.
+            // Replay the failover splices so the topology matches the
+            // snapshot; the state lands with the restore below. The
+            // backend flags stay the live partition's (the record does
+            // not persist `compiled`); the rest is the snapshot's record.
             for rec in &ctx.software_owned {
-                self.replay_failover_structure(rec)?;
+                let Some(pi) = self.parts_list.iter().position(|p| p.domain == rec.domain) else {
+                    return Err(PersistError::TopologyMismatch(format!(
+                        "snapshot says `{}` failed over, but it is not a live partition here",
+                        rec.domain
+                    )));
+                };
+                self.splice_out(pi)
+                    .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
+                let live = self
+                    .software_owned
+                    .last_mut()
+                    .expect("splice_out records the partition");
+                *live = SwOwned {
+                    event_driven: live.event_driven,
+                    compiled: live.compiled,
+                    ..rec.clone()
+                };
             }
         }
         self.checkpoint_matches(&ckpt)?;
@@ -1855,91 +1859,6 @@ impl Cosim {
         if self.autosave.is_some() {
             self.autosave_next = self.fpga_cycles;
         }
-        Ok(())
-    }
-
-    /// Re-executes the *structural* half of
-    /// [`failover_partition`](Self::failover_partition) for one
-    /// software-owned record while replaying a snapshot: fuse the
-    /// domain into software, re-plan the topology, rebuild the runner,
-    /// transactors, and fabric. No state is transferred — the caller
-    /// restores the snapshot's state on top — and nothing is
-    /// checkpointed.
-    fn replay_failover_structure(&mut self, rec: &SwOwned) -> PersistResult<()> {
-        let Some(pi) = self.parts_list.iter().position(|p| p.domain == rec.domain) else {
-            return Err(PersistError::TopologyMismatch(format!(
-                "snapshot says `{}` failed over, but it is not a live partition here",
-                rec.domain
-            )));
-        };
-        let fusion = fuse_domains(&self.parts, &rec.domain, &self.sw_domain)
-            .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
-        let surviving: Vec<usize> = (0..self.parts_list.len()).filter(|&i| i != pi).collect();
-        let domains: Vec<String> = surviving
-            .iter()
-            .map(|&i| self.parts_list[i].domain.clone())
-            .collect();
-        let topo = plan_topology(&fusion.parts, &self.sw_domain, &domains, &self.routing)
-            .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
-        let sw = SwRunner::new(&topo.sw_design, self.sw_opts)
-            .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?;
-        // The backend flags are this cosim's, not the snapshot's: the
-        // record does not persist `compiled`.
-        let live = &self.parts_list[pi].hw;
-        let rec = SwOwned {
-            event_driven: live.event_driven,
-            compiled: live.compiled(),
-            ..rec.clone()
-        };
-        let mut old_parts = std::mem::take(&mut self.parts_list);
-        old_parts.remove(pi);
-        self.absorbed.push(rec.domain.clone());
-        self.software_owned.push(rec);
-        self.sw = sw;
-        self.sw_design = topo.sw_design;
-        for (part, specs) in old_parts.iter_mut().zip(&topo.part_specs) {
-            part.transactor = if specs.is_empty() {
-                None
-            } else {
-                Some(
-                    Transactor::new(
-                        specs,
-                        &self.sw_domain,
-                        &self.sw_design,
-                        &part.domain,
-                        &part.design,
-                    )
-                    .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?,
-                )
-            };
-            part.link.clear_in_flight();
-        }
-        self.parts_list = old_parts;
-        self.fabric.clear();
-        for (a, b, specs) in &topo.fabric {
-            let (link_cfg, link_faults) = match &self.routing {
-                InterHwRouting::Fabric { link, faults } => (*link, faults.clone()),
-                InterHwRouting::ViaHub => unreachable!("hub routing plans no fabric"),
-            };
-            self.fabric.push(FabricLink {
-                a: *a,
-                b: *b,
-                transactor: Transactor::new(
-                    specs,
-                    &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
-                    &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
-                )
-                .map_err(|e| PersistError::TopologyMismatch(e.to_string()))?,
-                link: Link::with_faults(link_cfg, link_faults),
-                last_progress: 0,
-                last_progress_cycle: 0,
-            });
-        }
-        self.parts = fusion.parts;
-        self.routes = topo.routes;
-        self.failed_over = true;
         Ok(())
     }
 
@@ -2144,8 +2063,7 @@ impl Cosim {
     fn apply_partition_fault(&mut self, pi: usize, fault: PartitionFault) -> ExecResult<()> {
         {
             let p = &mut self.parts_list[pi];
-            let design = p.design.clone();
-            p.hw.reset_state(&design);
+            p.hw.reset_state(&p.design);
             if let Some(t) = &mut p.transactor {
                 t.reset_transport();
             }
@@ -2198,62 +2116,57 @@ impl Cosim {
         }
     }
 
-    /// The design and committed store currently holding a domain's
-    /// state (software or one of the hardware partitions).
-    fn domain_side(&self, dom: &str) -> (&Design, &Store) {
-        if dom == self.sw_domain {
-            (&self.sw_design, &self.sw.store)
-        } else {
-            let p = self
-                .parts_list
-                .iter()
-                .find(|p| p.domain == dom)
-                .expect("channel endpoint domain has a partition");
-            (&p.design, &p.hw.store)
-        }
-    }
-
-    /// Everything in flight on an original channel — between its tx FIFO
-    /// and rx FIFO, exclusive — oldest value first.
-    fn channel_backlog(&self, i: usize) -> ExecResult<Vec<Value>> {
-        let part_transit = |pi: usize, ci: usize| -> ExecResult<Vec<Value>> {
-            let p = &self.parts_list[pi];
-            let t = p
-                .transactor
-                .as_ref()
-                .expect("routed channel has transactor");
-            Ok(t.in_transit_values(&p.link)?.swap_remove(ci))
-        };
-        match &self.routes[i] {
-            RouteKind::Direct { part, ci } => part_transit(*part, *ci),
-            RouteKind::Fabric { fab, ci } => {
-                let f = &self.fabric[*fab];
-                Ok(f.transactor.in_transit_values(&f.link)?.swap_remove(*ci))
-            }
-            RouteKind::Hub {
-                from_part,
-                from_ci,
-                to_part,
-                to_ci,
-                hub,
-            } => {
-                // Oldest first: hop-2 wire (already left the hub), then
-                // the hub FIFO, then the hop-1 wire.
-                let mut v = part_transit(*to_part, *to_ci)?;
-                if let PrimState::Fifo { items, .. } = self.sw.store.get_state(*hub) {
-                    v.extend(items);
+    /// Everything in flight on every channel — between its tx FIFO and
+    /// rx FIFO, exclusive — oldest value first: what a splice must carry
+    /// across the transport restart. Each transactor's traffic is
+    /// decoded once.
+    fn backlog(&self) -> ExecResult<Vec<Vec<Value>>> {
+        let mut parts = self
+            .parts_list
+            .iter()
+            .map(|p| match &p.transactor {
+                Some(t) => t.in_transit_values(&p.link),
+                None => Ok(Vec::new()),
+            })
+            .collect::<ExecResult<Vec<_>>>()?;
+        let mut fabric = self
+            .fabric
+            .iter()
+            .map(|f| f.transactor.in_transit_values(&f.link))
+            .collect::<ExecResult<Vec<_>>>()?;
+        let mut take = |pi: usize, ci: usize| std::mem::take(&mut parts[pi][ci]);
+        Ok(self
+            .routes
+            .iter()
+            .map(|route| match route {
+                RouteKind::Direct { part, ci } => take(*part, *ci),
+                RouteKind::Fabric { fab, ci } => std::mem::take(&mut fabric[*fab][*ci]),
+                RouteKind::Hub {
+                    from_part,
+                    from_ci,
+                    to_part,
+                    to_ci,
+                    hub,
+                } => {
+                    // Oldest first: hop-2 wire (already left the hub),
+                    // then the hub FIFO, then the hop-1 wire.
+                    let mut v = take(*to_part, *to_ci);
+                    if let PrimState::Fifo { items, .. } = self.sw.store.get_state(*hub) {
+                        v.extend(items);
+                    }
+                    v.extend(take(*from_part, *from_ci));
+                    v
                 }
-                v.extend(part_transit(*from_part, *from_ci)?);
-                Ok(v)
-            }
-        }
+            })
+            .collect())
     }
 
     /// Fails a single partition over to software: rewinds to the last
-    /// checkpoint, fuses the dead domain into the software domain
-    /// (state, rules, and in-transit channel traffic included), and
-    /// rebuilds the topology so the surviving partitions keep executing
-    /// in hardware. Value-stream preserving, not cycle-exact — the
+    /// checkpoint, splices the dead partition out (its domain fused into
+    /// software, every transport rebuilt), migrates the software and dead
+    /// partition state into the fused store by path, and re-seeds the
+    /// in-transit traffic, so the surviving partitions keep executing in
+    /// hardware. Value-stream preserving, not cycle-exact — the
     /// survivors' transports restart from scratch.
     fn failover_partition(&mut self, pi: usize, interval: u64) -> ExecResult<()> {
         let Some(ckpt) = self.last_ckpt.take() else {
@@ -2261,182 +2174,37 @@ impl Cosim {
             return Ok(());
         };
         self.restore(&ckpt);
-        let dead_dom = self.parts_list[pi].domain.clone();
-
-        // 1. Per original channel, collect the values between tx and rx
-        //    at the cut (they must not be lost when transports reset).
-        let mut backlog = Vec::with_capacity(self.parts.channels.len());
-        for i in 0..self.parts.channels.len() {
-            backlog.push(self.channel_backlog(i)?);
-        }
-
-        // 2. Fuse the dead domain into software and re-plan the topology
-        //    over the merged partitioning.
-        let fusion = fuse_domains(&self.parts, &dead_dom, &self.sw_domain)
+        let mut backlog = self.backlog()?;
+        let old = self
+            .splice_out(pi)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
-        let surviving: Vec<usize> = (0..self.parts_list.len()).filter(|&i| i != pi).collect();
-        let domains: Vec<String> = surviving
+        let state = PathIndex::new(&[
+            (&old.sw_design, &old.sw_store),
+            (&old.part.design, &old.part.hw.store),
+        ]);
+        state.migrate(&self.sw_design, &mut self.sw.store);
+        // A channel between software and the dead partition is now one
+        // FIFO holding, oldest first, its rx half, its wire, its tx half.
+        for ((spec, mapped), wire) in old
+            .parts
+            .channels
             .iter()
-            .map(|&i| self.parts_list[i].domain.clone())
-            .collect();
-        let topo = plan_topology(&fusion.parts, &self.sw_domain, &domains, &self.routing)
-            .map_err(|e| ExecError::Malformed(e.to_string()))?;
-
-        // 3. Build the merged software store: software and dead-partition
-        //    state copied across (channel endpoints excepted), then the
-        //    internalized channels' merged FIFOs filled rx + wire + tx.
-        let internal_ids: std::collections::BTreeSet<usize> = fusion
-            .internalized
-            .iter()
-            .flatten()
-            .map(|id| id.0)
-            .collect();
-        let mut store = Store::new_like(&topo.sw_design, self.sw_opts.flat);
-        for (src_store, map) in [
-            (&self.sw.store, &fusion.into_map),
-            (&self.parts_list[pi].hw.store, &fusion.absorb_map),
-        ] {
-            for (local, fid) in map.iter().enumerate() {
-                if internal_ids.contains(&fid.0) {
-                    continue;
-                }
-                store.set_state(*fid, src_store.get_state(PrimId(local)));
+            .zip(&old.channel_map)
+            .zip(&mut backlog)
+        {
+            if mapped.is_none() {
+                let mut items = state.fifo_items(&spec.rx_path);
+                items.extend(wire.drain(..));
+                items.extend(state.fifo_items(&spec.tx_path));
+                set_fifo(&self.sw_design, &mut self.sw.store, &spec.name, items);
             }
         }
-        for (i, spec) in self.parts.channels.iter().enumerate() {
-            let Some(fid) = fusion.internalized[i] else {
-                continue;
-            };
-            let mut items: std::collections::VecDeque<Value> = std::collections::VecDeque::new();
-            let (rx_design, rx_store) = self.domain_side(&spec.to_domain);
-            let rx = rx_design.prim_id(&spec.rx_path).expect("rx half exists");
-            if let PrimState::Fifo { items: q, .. } = rx_store.get_state(rx) {
-                items.extend(q);
-            }
-            items.extend(backlog[i].iter().cloned());
-            let (tx_design, tx_store) = self.domain_side(&spec.from_domain);
-            let tx = tx_design.prim_id(&spec.tx_path).expect("tx half exists");
-            if let PrimState::Fifo { items: q, .. } = tx_store.get_state(tx) {
-                items.extend(q);
-            }
-            let mut merged = store.get_state(fid);
-            if let PrimState::Fifo { items: slot, .. } = &mut merged {
-                *slot = items;
-            }
-            store.set_state(fid, merged);
-        }
-
-        // The merged runner is built before anything is retired, so a
-        // design it refuses leaves the cosim as it was.
-        let mut sw = SwRunner::with_store(&topo.sw_design, store, self.sw_opts)
-            .map_err(|e| ExecError::Malformed(e.to_string()))?;
-        sw.cost = self.sw.cost;
-
-        // 4. Retire the dead partition, remembering its configuration
-        //    and the unfired remainder of its fault schedule so a
-        //    `ReviveAt` (or an explicit `Cosim::revive`) can bring it
-        //    back; rebuild the surviving partitions' transactors against
-        //    the new software design, clearing wires (fresh sequence
-        //    spaces must not see stale frames).
-        let mut old_parts = std::mem::take(&mut self.parts_list);
-        let dead = old_parts.remove(pi);
-        self.software_owned.push(SwOwned {
-            domain: dead.domain,
-            link_cfg: *dead.link.config(),
-            faults: dead.link.fault_config().clone(),
-            clock_div: dead.clock_div,
-            event_driven: dead.hw.event_driven,
-            compiled: dead.hw.compiled(),
-            fault_schedule: dead.fault_schedule,
-            fault_fired: dead.fault_fired,
-        });
-        self.absorbed.push(dead_dom.clone());
-        self.sw = sw;
-        self.sw_design = topo.sw_design;
-        for (part, specs) in old_parts.iter_mut().zip(&topo.part_specs) {
-            part.transactor = if specs.is_empty() {
-                None
-            } else {
-                Some(
-                    Transactor::new(
-                        specs,
-                        &self.sw_domain,
-                        &self.sw_design,
-                        &part.domain,
-                        &part.design,
-                    )
-                    .map_err(|e| ExecError::Malformed(e.to_string()))?,
-                )
-            };
-            part.link.clear_in_flight();
-            part.last_progress = 0;
-            part.last_progress_cycle = self.fpga_cycles;
-        }
-        self.parts_list = old_parts;
-        self.fabric.clear();
-        for (a, b, specs) in &topo.fabric {
-            let (link_cfg, link_faults) = match &self.routing {
-                InterHwRouting::Fabric { link, faults } => (*link, faults.clone()),
-                InterHwRouting::ViaHub => unreachable!("hub routing plans no fabric"),
-            };
-            self.fabric.push(FabricLink {
-                a: *a,
-                b: *b,
-                transactor: Transactor::new(
-                    specs,
-                    &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
-                    &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
-                )
-                .map_err(|e| ExecError::Malformed(e.to_string()))?,
-                link: Link::with_faults(link_cfg, link_faults),
-                last_progress: 0,
-                last_progress_cycle: self.fpga_cycles,
-            });
-        }
-
-        // 5. Re-seed every surviving channel's wire backlog at the front
-        //    of its tx FIFO — order preserved, and a FIFO transiently
-        //    above its nominal depth is safe on latency-insensitive
-        //    edges (`enq` blocks until it drains).
-        for (i, mapped) in fusion.channel_map.iter().enumerate() {
-            let Some(j) = *mapped else {
-                continue;
-            };
-            if backlog[i].is_empty() {
-                continue;
-            }
-            let spec = &fusion.parts.channels[j];
-            let (tx_store, tx_id) = if spec.from_domain == self.sw_domain {
-                let id = self
-                    .sw_design
-                    .prim_id(&spec.tx_path)
-                    .expect("tx half exists");
-                (&mut self.sw.store, id)
-            } else {
-                let part = self
-                    .parts_list
-                    .iter_mut()
-                    .find(|p| p.domain == spec.from_domain)
-                    .expect("surviving tx partition");
-                let id = part.design.prim_id(&spec.tx_path).expect("tx half exists");
-                (&mut part.hw.store, id)
-            };
-            let mut st = tx_store.get_state(tx_id);
-            if let PrimState::Fifo { items, .. } = &mut st {
-                for v in backlog[i].drain(..).rev() {
-                    items.push_front(v);
-                }
-                tx_store.set_state(tx_id, st);
-            }
-        }
-
-        // 6. Adopt the fused partitioning and routes; a later fault on a
-        //    surviving partition repeats the splice from here.
-        self.parts = fusion.parts;
-        self.routes = topo.routes;
-        self.failed_over = true;
+        self.reseed(
+            old.channel_map
+                .iter()
+                .zip(backlog)
+                .filter_map(|(j, wire)| Some(((*j)?, wire))),
+        );
         if self.parts_list.is_empty() {
             self.last_ckpt = None;
         } else {
@@ -2449,6 +2217,134 @@ impl Cosim {
         Ok(())
     }
 
+    /// Splices partition `pi` into the software domain: fuses its domain
+    /// into software, re-plans the topology without it, installs a
+    /// runner for the fused design over a reset store, adopts the
+    /// topology, and records the partition as software-owned with the
+    /// unfired remainder of its fault schedule, so a `ReviveAt` (or an
+    /// explicit [`Cosim::revive`]) can bring it back. The runner is built
+    /// before anything is retired, so a design it refuses leaves the
+    /// cosim as it was. Failover migrates state out of what is returned;
+    /// resume restores a snapshot instead.
+    fn splice_out(&mut self, pi: usize) -> Result<Retired, PlatformError> {
+        let dom = &self.parts_list[pi].domain;
+        let fusion = fuse_domains(&self.parts, dom, &self.sw_domain)
+            .map_err(|e| PlatformError::new(e.to_string()))?;
+        let domains: Vec<String> = self
+            .parts_list
+            .iter()
+            .filter(|p| p.domain != *dom)
+            .map(|p| p.domain.clone())
+            .collect();
+        let topo = plan_topology(&fusion.parts, &self.sw_domain, &domains, &self.routing)?;
+        let mut sw = SwRunner::new(&topo.sw_design, self.sw_opts)
+            .map_err(|e| PlatformError::new(e.to_string()))?;
+        sw.cost = self.sw.cost;
+        let part = self.parts_list.remove(pi);
+        self.software_owned.push(SwOwned {
+            domain: part.domain.clone(),
+            link_cfg: *part.link.config(),
+            faults: part.link.fault_config().clone(),
+            clock_div: part.clock_div,
+            event_driven: part.hw.event_driven,
+            compiled: part.hw.compiled(),
+            fault_schedule: part.fault_schedule.clone(),
+            fault_fired: part.fault_fired.clone(),
+        });
+        self.absorbed.push(part.domain.clone());
+        self.failed_over = true;
+        let retired = Retired {
+            sw_store: std::mem::replace(&mut self.sw, sw).store,
+            sw_design: std::mem::take(&mut self.sw_design),
+            part,
+            parts: std::mem::replace(&mut self.parts, fusion.parts),
+            channel_map: fusion.channel_map,
+        };
+        self.adopt(topo)?;
+        Ok(retired)
+    }
+
+    /// Adopts a planned topology around the software runner already
+    /// installed for `topo.sw_design`: every partition gets a fresh
+    /// CPU-link transactor and clear wires, every fabric pair a fresh
+    /// link, and the topology's routes replace the old ones. Every
+    /// sequence space restarts from scratch, so no stale frame may
+    /// survive on any wire. Construction, failover, revive and resume
+    /// all build the platform here.
+    fn adopt(&mut self, topo: Topology) -> Result<(), PlatformError> {
+        let now = self.fpga_cycles;
+        self.sw_design = topo.sw_design;
+        self.routes = topo.routes;
+        for (part, specs) in self.parts_list.iter_mut().zip(&topo.part_specs) {
+            part.transactor = if specs.is_empty() {
+                None
+            } else {
+                Some(
+                    Transactor::new(
+                        specs,
+                        &self.sw_domain,
+                        &self.sw_design,
+                        &part.domain,
+                        &part.design,
+                    )
+                    .map_err(|e| PlatformError::new(e.to_string()))?,
+                )
+            };
+            part.link.clear_in_flight();
+            part.last_progress = 0;
+            part.last_progress_cycle = now;
+        }
+        self.fabric = Vec::with_capacity(topo.fabric.len());
+        for (a, b, specs) in &topo.fabric {
+            let InterHwRouting::Fabric { link, faults } = &self.routing else {
+                unreachable!("hub routing plans no fabric");
+            };
+            let (pa, pb) = (&self.parts_list[*a], &self.parts_list[*b]);
+            self.fabric.push(FabricLink {
+                a: *a,
+                b: *b,
+                transactor: Transactor::new(specs, &pa.domain, &pa.design, &pb.domain, &pb.design)
+                    .map_err(|e| PlatformError::new(e.to_string()))?,
+                link: Link::with_faults(*link, faults.clone()),
+                last_progress: 0,
+                last_progress_cycle: now,
+            });
+        }
+        Ok(())
+    }
+
+    /// Puts in-transit traffic collected before a splice back at the
+    /// front of each channel's tx FIFO, order preserved. `seeds` pairs a
+    /// channel index of the adopted partitioning with its traffic. A FIFO
+    /// transiently above its nominal depth is safe on latency-insensitive
+    /// edges: `enq` blocks until it drains.
+    fn reseed(&mut self, seeds: impl IntoIterator<Item = (usize, Vec<Value>)>) {
+        for (j, wire) in seeds {
+            if wire.is_empty() {
+                continue;
+            }
+            let spec = &self.parts.channels[j];
+            let (design, store) = if spec.from_domain == self.sw_domain {
+                (&self.sw_design, &mut self.sw.store)
+            } else {
+                let part = self
+                    .parts_list
+                    .iter_mut()
+                    .find(|p| p.domain == spec.from_domain)
+                    .expect("tx partition exists");
+                (&part.design, &mut part.hw.store)
+            };
+            let id = design.prim_id(&spec.tx_path).expect("tx half exists");
+            let mut st = store.get_state(id);
+            if let PrimState::Fifo { items, .. } = &mut st {
+                for v in wire.into_iter().rev() {
+                    items.push_front(v);
+                }
+                store.set_state(id, st);
+            }
+        }
+    }
+
     /// Revives a software-owned partition back into hardware — the
     /// inverse of [`failover_partition`](Self::failover_partition).
     ///
@@ -2458,23 +2354,19 @@ impl Cosim {
     /// between steps), so the handback extracts the live state as-is.
     /// The splice: collect every channel's in-transit traffic, re-fold
     /// the partitioning without the revived domain (`split_domain`),
-    /// rebuild both sides' stores by primitive path, split rehydrated
+    /// migrate both sides' state by primitive path, split rehydrated
     /// channels' merged FIFO contents across the new tx/rx halves,
-    /// rebuild every transactor from scratch (fresh go-back-N sequence
-    /// spaces, credits, CRC framing), re-seed the collected traffic at
-    /// the front of the tx FIFOs, charge the CPU for marshaling the
-    /// state image, and hold the partition in `Reviving` until the image
-    /// has crossed the link.
+    /// adopt the new topology (fresh go-back-N sequence spaces, credits,
+    /// CRC framing), re-seed the collected traffic, charge the CPU for
+    /// marshaling the state image, and hold the partition in `Reviving`
+    /// until the image has crossed the link.
     fn revive_partition(&mut self, si: usize) -> ExecResult<()> {
         let rec = self.software_owned.remove(si);
         let dom = rec.domain.clone();
 
         // 1. Collect per-channel in-transit values while the old
         //    transports are still alive (oldest first).
-        let mut backlog = Vec::with_capacity(self.parts.channels.len());
-        for i in 0..self.parts.channels.len() {
-            backlog.push(self.channel_backlog(i)?);
-        }
+        let backlog = self.backlog()?;
 
         // 2. Inverse splice: re-fold everything still absorbed, leaving
         //    the revived domain as its own partition again.
@@ -2506,12 +2398,13 @@ impl Cosim {
         let topo = plan_topology(&fission.parts, &self.sw_domain, &domains, &self.routing)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
 
-        // 4. Rebuild both sides' stores by primitive path from the
-        //    current (fused) software store. Paths are preserved through
-        //    fusion and fission, so everything the revived partition
-        //    owns is found under the same name; hub FIFOs start empty
-        //    (their content rides in the backlog) and rehydrated channel
-        //    halves are filled in step 5.
+        // 4. Migrate both sides' state by path out of the fused software
+        //    store. A rehydrated channel was an internal FIFO of the
+        //    fused design: the consumer-side rx half gets the oldest
+        //    values up to its depth (exactly what the credit invariant
+        //    allows — `credits_used = fifo_len(rx) + in_flight`), the
+        //    producer-side tx half holds the rest (transiently above
+        //    nominal depth is safe on latency-insensitive edges).
         let revived_design = fission
             .parts
             .partition(&dom)
@@ -2519,57 +2412,30 @@ impl Cosim {
             .clone();
         let flat = self.sw_opts.flat;
         let mut hw_store = Store::new_like(&revived_design, flat);
-        for (i, prim) in revived_design.prims.iter().enumerate() {
-            if let Some(old) = self.sw_design.prim_id(&prim.path.0) {
-                hw_store.set_state(PrimId(i), self.sw.store.get_state(old));
-            }
-        }
         let mut sw_store = Store::new_like(&topo.sw_design, flat);
-        for (i, prim) in topo.sw_design.prims.iter().enumerate() {
-            if prim.path.0.starts_with("__hub.") {
-                continue;
-            }
-            if let Some(old) = self.sw_design.prim_id(&prim.path.0) {
-                sw_store.set_state(PrimId(i), self.sw.store.get_state(old));
-            }
-        }
-
-        // 5. Rehydrate channels that were internal FIFOs of the fused
-        //    design: the consumer-side rx half gets the oldest values up
-        //    to its depth (exactly what the credit invariant allows —
-        //    `credits_used = fifo_len(rx) + in_flight`), the producer-
-        //    side tx half holds the rest (transiently above nominal
-        //    depth is safe on latency-insensitive edges: `enq` blocks
-        //    until it drains).
+        let state = PathIndex::new(&[(&self.sw_design, &self.sw.store)]);
+        state.migrate(&revived_design, &mut hw_store);
+        state.migrate(&topo.sw_design, &mut sw_store);
         for &ci in &fission.rehydrated {
             let spec = &fission.parts.channels[ci];
-            let merged = self
-                .sw_design
-                .prim_id(&spec.name)
-                .expect("rehydrated channel was a merged FIFO of the fused design");
-            let mut items: std::collections::VecDeque<Value> = std::collections::VecDeque::new();
-            if let PrimState::Fifo { items: q, .. } = self.sw.store.get_state(merged) {
-                items.extend(q);
-            }
-            let tx_items = items.split_off(items.len().min(spec.depth));
-            let fill = |design: &Design, store: &mut Store, path: &str, vals| {
-                let id = design.prim_id(path).expect("channel half exists");
-                let mut st = store.get_state(id);
-                if let PrimState::Fifo { items: slot, .. } = &mut st {
-                    *slot = vals;
-                    store.set_state(id, st);
-                }
-            };
-            if spec.from_domain == dom {
-                fill(&revived_design, &mut hw_store, &spec.tx_path, tx_items);
-                fill(&topo.sw_design, &mut sw_store, &spec.rx_path, items);
+            let mut rx_items = state.fifo_items(&spec.name);
+            let tx_items = rx_items.split_off(rx_items.len().min(spec.depth));
+            let (tx, rx) = if spec.from_domain == dom {
+                (
+                    (&revived_design, &mut hw_store),
+                    (&topo.sw_design, &mut sw_store),
+                )
             } else {
-                fill(&topo.sw_design, &mut sw_store, &spec.tx_path, tx_items);
-                fill(&revived_design, &mut hw_store, &spec.rx_path, items);
-            }
+                (
+                    (&topo.sw_design, &mut sw_store),
+                    (&revived_design, &mut hw_store),
+                )
+            };
+            set_fifo(tx.0, tx.1, &spec.tx_path, tx_items);
+            set_fifo(rx.0, rx.1, &spec.rx_path, rx_items);
         }
 
-        // 6. Debt accounting across the handback: the CPU marshals the
+        // 5. Debt accounting across the handback: the CPU marshals the
         //    whole state image into the DMA buffer (paid for out of the
         //    budget like any driver transfer), and the partition only
         //    starts executing once the image has crossed the link.
@@ -2580,25 +2446,24 @@ impl Cosim {
             + rec.link_cfg.one_way_latency
             + words.div_ceil(rec.link_cfg.words_per_cycle.max(1));
 
-        // 7. Rebuild the partition (fresh simulator over the reloaded
+        // 6. Rebuild the partition (fresh simulator over the reloaded
         //    store, fresh link transport with deterministically reseeded
-        //    fault PRNGs) and every transactor — all sequence spaces
-        //    restart from scratch, so all wires must be clear.
+        //    fault PRNGs), adopt the topology around it, and re-seed the
+        //    collected traffic. Rehydrated channels carried no wire
+        //    traffic (they were internal FIFOs).
         let mut hw = HwSim::with_store(&revived_design, hw_store)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
         hw.event_driven = rec.event_driven;
         hw.set_compiled(rec.compiled);
-        let cost = self.sw.cost;
         let mut sw = SwRunner::with_store(&topo.sw_design, sw_store, self.sw_opts)
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
-        sw.cost = cost;
+        sw.cost = self.sw.cost;
         self.sw = sw;
-        self.sw_design = topo.sw_design;
-        let mut parts = std::mem::take(&mut self.parts_list);
-        parts.insert(
+        self.parts = fission.parts;
+        self.parts_list.insert(
             insert_at,
             HwPart {
-                domain: dom.clone(),
+                domain: dom,
                 design: revived_design,
                 hw,
                 transactor: None,
@@ -2612,85 +2477,11 @@ impl Cosim {
                 active_at,
             },
         );
-        for (part, specs) in parts.iter_mut().zip(&topo.part_specs) {
-            part.transactor = if specs.is_empty() {
-                None
-            } else {
-                Some(
-                    Transactor::new(
-                        specs,
-                        &self.sw_domain,
-                        &self.sw_design,
-                        &part.domain,
-                        &part.design,
-                    )
-                    .map_err(|e| ExecError::Malformed(e.to_string()))?,
-                )
-            };
-            part.link.clear_in_flight();
-            part.last_progress = 0;
-            part.last_progress_cycle = self.fpga_cycles;
-        }
-        self.parts_list = parts;
-        self.fabric.clear();
-        for (a, b, specs) in &topo.fabric {
-            let (link_cfg, link_faults) = match &self.routing {
-                InterHwRouting::Fabric { link, faults } => (*link, faults.clone()),
-                InterHwRouting::ViaHub => unreachable!("hub routing plans no fabric"),
-            };
-            self.fabric.push(FabricLink {
-                a: *a,
-                b: *b,
-                transactor: Transactor::new(
-                    specs,
-                    &self.parts_list[*a].domain,
-                    &self.parts_list[*a].design,
-                    &self.parts_list[*b].domain,
-                    &self.parts_list[*b].design,
-                )
-                .map_err(|e| ExecError::Malformed(e.to_string()))?,
-                link: Link::with_faults(link_cfg, link_faults),
-                last_progress: 0,
-                last_progress_cycle: self.fpga_cycles,
-            });
-        }
+        self.adopt(topo)
+            .map_err(|e| ExecError::Malformed(e.to_string()))?;
+        self.reseed(fission.channel_map.into_iter().zip(backlog));
 
-        // 8. Adopt the split partitioning, then re-seed the collected
-        //    in-transit traffic at the front of each surviving channel's
-        //    tx FIFO — order preserved. Rehydrated channels carried no
-        //    wire traffic (they were internal FIFOs).
-        self.parts = fission.parts;
-        self.routes = topo.routes;
-        for (i, &j) in fission.channel_map.iter().enumerate() {
-            if backlog[i].is_empty() {
-                continue;
-            }
-            let spec = &self.parts.channels[j];
-            let (tx_store, tx_id) = if spec.from_domain == self.sw_domain {
-                let id = self
-                    .sw_design
-                    .prim_id(&spec.tx_path)
-                    .expect("tx half exists");
-                (&mut self.sw.store, id)
-            } else {
-                let part = self
-                    .parts_list
-                    .iter_mut()
-                    .find(|p| p.domain == spec.from_domain)
-                    .expect("tx partition exists");
-                let id = part.design.prim_id(&spec.tx_path).expect("tx half exists");
-                (&mut part.hw.store, id)
-            };
-            let mut st = tx_store.get_state(tx_id);
-            if let PrimState::Fifo { items, .. } = &mut st {
-                for v in backlog[i].drain(..).rev() {
-                    items.push_front(v);
-                }
-                tx_store.set_state(tx_id, st);
-            }
-        }
-
-        // 9. The handback is itself a consistent cut; checkpoint it so a
+        // 7. The handback is itself a consistent cut; checkpoint it so a
         //    fault before the next cadence tick has somewhere to recover
         //    to. (Older checkpoints describe the pre-revival topology
         //    and must never be restored into this one.)
@@ -3025,6 +2816,58 @@ impl Cosim {
             out.extend(f.transactor.report());
         }
         out
+    }
+}
+
+/// Committed primitive state of the designs a splice retires, found by
+/// path: fusion and fission keep every primitive's path, and a channel
+/// internal to a fused design is a FIFO named after the channel.
+struct PathIndex<'a>(HashMap<&'a str, (&'a Store, PrimId)>);
+
+impl<'a> PathIndex<'a> {
+    /// Indexes each `(design, store)` source once.
+    fn new(sources: &[(&'a Design, &'a Store)]) -> PathIndex<'a> {
+        let mut index = HashMap::new();
+        for &(design, store) in sources {
+            for (i, prim) in design.prims.iter().enumerate() {
+                index.insert(prim.path.as_str(), (store, PrimId(i)));
+            }
+        }
+        PathIndex(index)
+    }
+
+    /// Copies into `store`, a store of `design`, the state of every
+    /// primitive found here by path. Hub FIFOs are skipped: their
+    /// contents travel in the backlog.
+    fn migrate(&self, design: &Design, store: &mut Store) {
+        for (i, prim) in design.prims.iter().enumerate() {
+            if prim.path.as_str().starts_with(HUB_PREFIX) {
+                continue;
+            }
+            if let Some(&(src, id)) = self.0.get(prim.path.as_str()) {
+                store.set_state(PrimId(i), src.get_state(id));
+            }
+        }
+    }
+
+    /// The queue of the FIFO at `path`, oldest value first.
+    fn fifo_items(&self, path: &str) -> VecDeque<Value> {
+        let &(store, id) = self.0.get(path).expect("channel FIFO exists");
+        match store.get_state(id) {
+            PrimState::Fifo { items, .. } => items,
+            _ => VecDeque::new(),
+        }
+    }
+}
+
+/// Replaces the queue of the FIFO at `path` in `store`, a store of
+/// `design`.
+fn set_fifo(design: &Design, store: &mut Store, path: &str, items: VecDeque<Value>) {
+    let id = design.prim_id(path).expect("channel FIFO exists");
+    let mut st = store.get_state(id);
+    if let PrimState::Fifo { items: slot, .. } = &mut st {
+        *slot = items;
+        store.set_state(id, st);
     }
 }
 

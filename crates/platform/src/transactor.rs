@@ -1409,7 +1409,7 @@ mod tests {
             t.pump(&mut sw, &mut hw, &mut link, now).unwrap();
         }
         let (snap_t, snap_l) = (t.snapshot(), link.snapshot());
-        let (snap_sw, snap_hw) = (sw.snapshot(), hw.snapshot());
+        let (snap_sw, snap_hw) = (sw.snapshot_cow(), hw.snapshot_cow());
         let run = |t: &mut Transactor, link: &mut Link, sw: &mut Store, hw: &mut Store| {
             let mut got = Vec::new();
             for now in 400..2000u64 {
@@ -1424,8 +1424,8 @@ mod tests {
         let first = run(&mut t, &mut link, &mut sw, &mut hw);
         t.restore(&snap_t);
         link.restore(&snap_l);
-        sw.restore(&snap_sw);
-        hw.restore(&snap_hw);
+        sw.restore_cow(&snap_sw);
+        hw.restore_cow(&snap_hw);
         let second = run(&mut t, &mut link, &mut sw, &mut hw);
         assert_eq!(first, second, "restored transport must replay exactly");
     }

@@ -16,7 +16,9 @@ use bcl_core::program::Program;
 use bcl_core::sched::{ExecBackend, SwOptions};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
-use bcl_platform::cosim::{Cosim, PartitionLifecycle, RecoveryPolicy};
+use bcl_platform::cosim::{
+    Cosim, HwPartitionCfg, InterHwRouting, PartitionLifecycle, RecoveryPolicy,
+};
 use bcl_platform::link::{FaultConfig, LinkConfig, PartitionFault};
 use bcl_platform::persist::PersistError;
 use bcl_platform::{Checkpoint, FORMAT_VERSION, MIN_FORMAT_VERSION};
@@ -290,6 +292,97 @@ fn dead_state_resumes_identically() {
     }
     assert_eq!(original.fpga_cycles, resumed.fpga_cycles);
     assert_eq!(original.sink_count("snk"), resumed.sink_count("snk"));
+}
+
+/// src(SW) -> c0 -> +1 (HW) -> c1 -> *2 (HW2) -> c2 -> +3 (HW3) -> c3 ->
+/// snk(SW): three hardware partitions in a chain, so on fabric routing
+/// the HW2 -> HW3 fabric link survives a failover of HW.
+fn chain_cosim(schedule: &[PartitionFault]) -> Cosim {
+    let mut m = ModuleBuilder::new("Chain");
+    m.source("src", Type::Int(32), SW);
+    m.sink("snk", Type::Int(32), SW);
+    m.channel("c0", 2, Type::Int(32), SW, HW);
+    m.channel("c1", 2, Type::Int(32), HW, "HW2");
+    m.channel("c2", 2, Type::Int(32), "HW2", "HW3");
+    m.channel("c3", 2, Type::Int(32), "HW3", SW);
+    m.rule("feed", with_first("x", "src", enq("c0", var("x"))));
+    m.rule(
+        "inc",
+        with_first("x", "c0", enq("c1", add(var("x"), cint(32, 1)))),
+    );
+    m.rule(
+        "dbl",
+        with_first("x", "c1", enq("c2", mul(var("x"), cint(32, 2)))),
+    );
+    m.rule(
+        "add3",
+        with_first("x", "c2", enq("c3", add(var("x"), cint(32, 3)))),
+    );
+    m.rule("drain", with_first("x", "c3", enq("snk", var("x"))));
+    let design = bcl_core::elaborate(&Program::with_root(m.build())).unwrap();
+    let parts = partition(&design, SW).unwrap();
+    let mut faults = FaultConfig::none();
+    for &f in schedule {
+        faults = faults.with_partition_fault(f);
+    }
+    let cfgs = [
+        HwPartitionCfg::new(HW).with_faults(faults),
+        HwPartitionCfg::new("HW2"),
+        HwPartitionCfg::new("HW3"),
+    ];
+    let routing = InterHwRouting::fabric();
+    let mut cs = Cosim::multi(&parts, SW, &cfgs, routing, SwOptions::default()).unwrap();
+    cs.set_recovery_policy(RecoveryPolicy::failover(100));
+    for i in 0..INPUTS {
+        cs.push_source("src", Value::int(32, i * 3 + 1));
+    }
+    cs
+}
+
+/// Resume after a failover on a topology with more than one hardware
+/// partition: replaying the splice rebuilds the surviving HW2 -> HW3
+/// fabric link, and the resumed run is bit- and cycle-identical to the
+/// uninterrupted one — with HW still software-owned at the snapshot
+/// and at the end, revived after the snapshot, and revived before it.
+#[test]
+fn fabric_failover_resumes_identically() {
+    use PartitionFault::{DieAt, ReviveAt};
+    let want: Vec<i64> = (0..INPUTS).map(|i| (i * 3 + 2) * 2 + 3).collect();
+    for (schedule, at, lifecycle, revived) in [
+        (
+            &[DieAt(400)][..],
+            500,
+            PartitionLifecycle::SoftwareOwned,
+            false,
+        ),
+        (
+            &[DieAt(400), ReviveAt(600)],
+            500,
+            PartitionLifecycle::SoftwareOwned,
+            true,
+        ),
+        (
+            &[DieAt(400), ReviveAt(600)],
+            700,
+            PartitionLifecycle::Running,
+            true,
+        ),
+    ] {
+        let mut original = chain_cosim(schedule);
+        run_to_cycle(&mut original, at);
+        assert_eq!(original.partition_lifecycle(HW), Some(lifecycle));
+        let bytes = original.snapshot_bytes().unwrap();
+        let mut resumed = chain_cosim(schedule);
+        resumed.resume_from(&mut &bytes[..]).unwrap();
+        assert_eq!(resumed.hw_domains(), original.hw_domains(), "{schedule:?}");
+        let (vals_a, cycles_a) = finish(&mut original);
+        let (vals_b, cycles_b) = finish(&mut resumed);
+        assert_eq!(vals_a, want, "{schedule:?}");
+        assert_eq!((vals_a, cycles_a), (vals_b, cycles_b), "{schedule:?}");
+        assert_eq!(resumed.revived(), revived, "{schedule:?}");
+        assert_eq!(resumed.fabric_stats(), original.fabric_stats());
+        assert!(resumed.fabric_stats().words_to_hw > 0, "no fabric traffic");
+    }
 }
 
 // ---- typed rejection ----------------------------------------------------
