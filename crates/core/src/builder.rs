@@ -26,7 +26,7 @@ use crate::types::Type;
 use crate::value::Value;
 
 /// Incremental builder for a [`ModuleDef`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ModuleBuilder {
     def: ModuleDef,
 }
@@ -185,9 +185,9 @@ impl ModuleBuilder {
         self
     }
 
-    /// Finishes the module definition.
-    pub fn build(&self) -> ModuleDef {
-        self.def.clone()
+    /// Finishes the module definition, handing it over without a copy.
+    pub fn build(self) -> ModuleDef {
+        self.def
     }
 
     /// Finishes the module definition, rejecting duplicate instance,
@@ -198,7 +198,7 @@ impl ModuleBuilder {
     /// # Errors
     ///
     /// [`crate::error::ElabError`] naming the first duplicate found.
-    pub fn try_build(&self) -> Result<ModuleDef, crate::error::ElabError> {
+    pub fn try_build(self) -> Result<ModuleDef, crate::error::ElabError> {
         let dup = |what: &str, names: &mut std::collections::BTreeSet<String>, n: &str| {
             if names.insert(n.to_string()) {
                 Ok(())
@@ -226,7 +226,7 @@ impl ModuleBuilder {
         for m in &self.def.val_methods {
             dup("method", &mut methods, &m.name)?;
         }
-        Ok(self.def.clone())
+        Ok(self.def)
     }
 }
 
@@ -508,12 +508,16 @@ mod tests {
 
     #[test]
     fn try_build_rejects_duplicates() {
-        let mut m = ModuleBuilder::new("Dup");
-        m.reg("r", Value::int(8, 0));
-        m.rule("tick", no_action());
-        assert!(m.try_build().is_ok());
-        m.rule("tick", no_action());
-        let e = m.try_build().unwrap_err();
+        let ticks = |n: usize| {
+            let mut m = ModuleBuilder::new("Dup");
+            m.reg("r", Value::int(8, 0));
+            for _ in 0..n {
+                m.rule("tick", no_action());
+            }
+            m.try_build()
+        };
+        assert!(ticks(1).is_ok());
+        let e = ticks(2).unwrap_err();
         assert!(e.message().contains("duplicate rule name `tick`"), "{e}");
 
         let mut m = ModuleBuilder::new("Dup2");

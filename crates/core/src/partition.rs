@@ -21,6 +21,7 @@ use crate::error::DomainError;
 use crate::prim::PrimSpec;
 use crate::types::Type;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// One synchronizer turned into a cross-partition channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,10 +43,14 @@ pub struct ChannelSpec {
 }
 
 /// A design split into per-domain partitions plus channel specs.
+///
+/// The partition designs are shared: cloning a `Partitioned` copies the
+/// channel specs and the domain map but not one design, so a runtime can
+/// keep the partitioning it was built from without duplicating it.
 #[derive(Debug, Clone)]
 pub struct Partitioned {
     /// One design per domain, keyed by domain name.
-    pub partitions: BTreeMap<String, Design>,
+    pub partitions: BTreeMap<String, Arc<Design>>,
     /// One channel per synchronizer.
     pub channels: Vec<ChannelSpec>,
     /// The inference result the split was based on.
@@ -61,6 +66,16 @@ impl Partitioned {
     /// typo in a cosim topology surfaces here instead of as a silent
     /// `None` deep in platform setup.
     pub fn partition(&self, domain: &str) -> Result<&Design, DomainError> {
+        self.shared(domain).map(|d| &**d)
+    }
+
+    /// The partition for a domain as a shared handle, for a consumer
+    /// that keeps it without copying it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Partitioned::partition`].
+    pub fn shared(&self, domain: &str) -> Result<&Arc<Design>, DomainError> {
         self.partitions.get(domain).ok_or_else(|| {
             let avail: Vec<&str> = self.partitions.keys().map(String::as_str).collect();
             DomainError::new(format!(
@@ -269,7 +284,10 @@ pub fn partition(design: &Design, default_domain: &str) -> Result<Partitioned, D
     // sync endpoint with no rules or prims beyond the half-FIFO is kept —
     // the transactor still needs it).
     Ok(Partitioned {
-        partitions,
+        partitions: partitions
+            .into_iter()
+            .map(|(d, part)| (d, Arc::new(part)))
+            .collect(),
         channels,
         map,
     })
@@ -400,10 +418,12 @@ pub fn fuse_partitioned(p: &Partitioned) -> Result<Design, DomainError> {
         fused = Some(fuse_domains(fused.as_ref().unwrap_or(p), d, into)?.parts);
     }
     let mut fused = fused.unwrap_or_else(|| p.clone());
-    Ok(fused
-        .partitions
-        .remove(into)
-        .expect("fusion keeps the `into` partition"))
+    Ok(Arc::unwrap_or_clone(
+        fused
+            .partitions
+            .remove(into)
+            .expect("fusion keeps the `into` partition"),
+    ))
 }
 
 /// The result of fusing one domain into another (see [`fuse_domains`]).
@@ -416,7 +436,8 @@ pub fn fuse_partitioned(p: &Partitioned) -> Result<Design, DomainError> {
 #[derive(Debug, Clone)]
 pub struct DomainFusion {
     /// The partitioning after the merge: `absorb` is gone, `into` holds
-    /// the merged design, every other partition is untouched.
+    /// the merged design, every other partition is the input's own
+    /// (shared, not copied).
     pub parts: Partitioned,
     /// Per *original* channel index: the index of the surviving channel
     /// in `parts.channels`, else `None` if internalized.
@@ -540,13 +561,13 @@ pub fn fuse_domains(
         }
     }
 
-    let mut partitions: BTreeMap<String, Design> = p
+    let mut partitions: BTreeMap<String, Arc<Design>> = p
         .partitions
         .iter()
         .filter(|(d, _)| d.as_str() != absorb && d.as_str() != into)
-        .map(|(d, part)| (d.clone(), part.clone()))
+        .map(|(d, part)| (d.clone(), Arc::clone(part)))
         .collect();
-    partitions.insert(into.to_string(), merged);
+    partitions.insert(into.to_string(), Arc::new(merged));
 
     Ok(DomainFusion {
         parts: Partitioned {

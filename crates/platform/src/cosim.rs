@@ -42,6 +42,8 @@ use bcl_core::store::{Store, StoreSnapshot};
 use bcl_core::value::Value;
 use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// How a co-simulation ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,7 +346,8 @@ enum RouteKind {
 #[derive(Debug)]
 struct HwPart {
     domain: String,
-    design: Design,
+    /// Shared with the partitioning the partition came from.
+    design: Arc<Design>,
     hw: HwSim,
     /// Interface logic for this partition's CPU link; `None` when no
     /// channel touches this partition's link.
@@ -861,12 +864,23 @@ impl ResumeContext {
 /// *not* (they fold the same original partitioning), so a snapshot
 /// taken mid-recovery still matches the re-elaborated design.
 fn design_fingerprint(sw_domain: &str, order: &[String], parts: &Partitioned) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{sw_domain:?}|{order:?}|{parts:?}").as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{sw_domain:?}|{order:?}|{parts:?}").expect("hashing cannot fail");
+    h.0
+}
+
+/// FNV-1a fed by `write!`, so a debug rendering is hashed as it is
+/// formatted instead of being collected into a string first.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// A co-simulation of a partitioned design over N hardware partitions.
@@ -875,8 +889,9 @@ pub struct Cosim {
     /// The software partition's runner.
     pub sw: SwRunner,
     /// The software design actually executing: the software partition,
-    /// augmented with hub FIFOs when HW↔HW channels route via the hub.
-    sw_design: Design,
+    /// augmented with hub FIFOs when HW↔HW channels route via the hub
+    /// (otherwise shared with `parts`).
+    sw_design: Arc<Design>,
     /// The hardware partitions, in configuration order (which is also
     /// pump order — deterministic).
     parts_list: Vec<HwPart>,
@@ -884,9 +899,10 @@ pub struct Cosim {
     fabric: Vec<FabricLink>,
     /// Physical route of each channel, aligned with `parts.channels`.
     routes: Vec<RouteKind>,
-    /// The (un-augmented) partitioning currently executing; replaced by
-    /// the fused partitioning when a partition fails over.
-    parts: Partitioned,
+    /// The (un-augmented) partitioning currently executing; replaced
+    /// wholesale, never mutated: by the fused partitioning when a
+    /// partition fails over, by the split one when it is revived.
+    parts: Arc<Partitioned>,
     /// FPGA cycles elapsed.
     pub fpga_cycles: u64,
     /// Pending software work (driver transfers + rule overshoot) not yet
@@ -920,8 +936,9 @@ pub struct Cosim {
     /// order — the fold that `split_domain` replays to revive one.
     absorbed: Vec<String>,
     /// The partitioning as originally configured, before any failover
-    /// rewrote `parts`. The anchor for inverse splices.
-    orig_parts: Partitioned,
+    /// replaced `parts` (the same allocation until then). The anchor for
+    /// inverse splices.
+    orig_parts: Arc<Partitioned>,
     /// The originally configured hardware domain order, for putting a
     /// revived partition back in its deterministic pump slot.
     orig_order: Vec<String>,
@@ -958,7 +975,7 @@ pub const DEFAULT_STALL_THRESHOLD: u64 = 50_000;
 /// (possibly hub-augmented) software design, per-partition channel
 /// lists, fabric pair channel lists, and the per-channel route table.
 struct Topology {
-    sw_design: Design,
+    sw_design: Arc<Design>,
     /// Per configured partition, the channels on its CPU link.
     part_specs: Vec<Vec<ChannelSpec>>,
     /// Fabric links: (a, b) partition indices with their channels.
@@ -970,10 +987,10 @@ struct Topology {
 /// into the fused software store.
 struct Retired {
     sw_store: Store,
-    sw_design: Design,
+    sw_design: Arc<Design>,
     part: HwPart,
     /// The partitioning before the splice.
-    parts: Partitioned,
+    parts: Arc<Partitioned>,
     /// Per channel of `parts`, its index after the splice, or `None` if
     /// it became an internal FIFO of the software design.
     channel_map: Vec<Option<usize>>,
@@ -984,15 +1001,18 @@ struct Retired {
 const HUB_PREFIX: &str = "__hub.";
 
 /// Classifies every channel of `p` against the hardware partitions in
-/// `domains` (in order) and plans the physical topology.
+/// `domains` (in order) and plans the physical topology. The software
+/// design is `p`'s own unless a hub FIFO is appended to it, which copies
+/// it once.
 fn plan_topology(
     p: &Partitioned,
     sw_domain: &str,
     domains: &[String],
     routing: &InterHwRouting,
 ) -> Result<Topology, PlatformError> {
+    // Clones the `Arc` handle, not the design.
     let mut sw_design = p
-        .partition(sw_domain)
+        .shared(sw_domain)
         .map_err(|_| {
             PlatformError::new(format!(
                 "malformed partitioning: no `{sw_domain}` (software) partition — \
@@ -1042,6 +1062,7 @@ fn plan_topology(
                     // The hub FIFO lives in the software design; the
                     // channel becomes two latency-insensitive hops.
                     let hub_path = format!("{HUB_PREFIX}{}", c.name);
+                    let sw_design = Arc::make_mut(&mut sw_design);
                     let hub = PrimId(sw_design.prims.len());
                     sw_design.prims.push(PrimDef {
                         path: Path::new(&hub_path),
@@ -1229,17 +1250,20 @@ impl Cosim {
                 )));
             }
         }
+        // One shallow copy: the cosim and every partition it runs share
+        // the caller's designs.
+        let p = Arc::new(p.clone());
         let domains: Vec<String> = active.iter().map(|c| c.domain.clone()).collect();
-        let topo = plan_topology(p, sw_domain, &domains, &routing)?;
+        let topo = plan_topology(&p, sw_domain, &domains, &routing)?;
         let sw = SwRunner::new(&topo.sw_design, sw_opts)
             .map_err(|e| PlatformError::new(e.to_string()))?;
 
         let mut parts_list = Vec::with_capacity(active.len());
         for cfg in &active {
             let design = p
-                .partition(&cfg.domain)
-                .map_err(|e| PlatformError::new(e.to_string()))?
-                .clone();
+                .shared(&cfg.domain)
+                .map(Arc::clone)
+                .map_err(|e| PlatformError::new(e.to_string()))?;
             let mut hw = HwSim::with_store(&design, Store::new_like(&design, sw_opts.flat))
                 .map_err(|e| PlatformError::new(e.to_string()))?;
             hw.event_driven = cfg.event_driven;
@@ -1263,11 +1287,11 @@ impl Cosim {
 
         let mut cosim = Cosim {
             sw,
-            sw_design: Design::default(),
+            sw_design: Arc::clone(&topo.sw_design),
             parts_list,
             fabric: Vec::new(),
             routes: Vec::new(),
-            parts: p.clone(),
+            parts: Arc::clone(&p),
             fpga_cycles: 0,
             sw_debt: 0,
             sw_domain: sw_domain.to_string(),
@@ -1280,7 +1304,7 @@ impl Cosim {
             revived: false,
             software_owned: Vec::new(),
             absorbed: Vec::new(),
-            orig_parts: p.clone(),
+            orig_parts: p,
             orig_order: domains,
             policy: RecoveryPolicy::Fail,
             last_ckpt: None,
@@ -1345,7 +1369,7 @@ impl Cosim {
 
     /// The first hardware partition's design, if any.
     pub fn hw_design(&self) -> Option<&Design> {
-        self.parts_list.first().map(|p| &p.design)
+        self.parts_list.first().map(|p| &*p.design)
     }
 
     /// The software domain name.
@@ -2255,9 +2279,9 @@ impl Cosim {
         self.failed_over = true;
         let retired = Retired {
             sw_store: std::mem::replace(&mut self.sw, sw).store,
-            sw_design: std::mem::take(&mut self.sw_design),
+            sw_design: Arc::clone(&self.sw_design),
             part,
-            parts: std::mem::replace(&mut self.parts, fusion.parts),
+            parts: std::mem::replace(&mut self.parts, Arc::new(fusion.parts)),
             channel_map: fusion.channel_map,
         };
         self.adopt(topo)?;
@@ -2407,9 +2431,9 @@ impl Cosim {
         //    nominal depth is safe on latency-insensitive edges).
         let revived_design = fission
             .parts
-            .partition(&dom)
-            .map_err(|e| ExecError::Malformed(e.to_string()))?
-            .clone();
+            .shared(&dom)
+            .map(Arc::clone)
+            .map_err(|e| ExecError::Malformed(e.to_string()))?;
         let flat = self.sw_opts.flat;
         let mut hw_store = Store::new_like(&revived_design, flat);
         let mut sw_store = Store::new_like(&topo.sw_design, flat);
@@ -2459,7 +2483,7 @@ impl Cosim {
             .map_err(|e| ExecError::Malformed(e.to_string()))?;
         sw.cost = self.sw.cost;
         self.sw = sw;
-        self.parts = fission.parts;
+        self.parts = Arc::new(fission.parts);
         self.parts_list.insert(
             insert_at,
             HwPart {

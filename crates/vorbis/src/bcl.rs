@@ -251,10 +251,12 @@ impl Default for BackendOptions {
 pub fn build_backend(opts: &BackendOptions) -> Program {
     let d = &opts.domains;
     let dep = opts.channel_depth;
-    let ifft_def = if opts.pipelined_ifft {
-        "IFFTPipe"
+    // Only the instantiated IFFT is built: the other one is as large and
+    // nothing would elaborate it.
+    let ifft = if opts.pipelined_ifft {
+        mk_ifft_pipe()
     } else {
-        "IFFTComb"
+        mk_ifft_comb()
     };
 
     let mut m = ModuleBuilder::new("VorbisBackEnd");
@@ -265,7 +267,7 @@ pub fn build_backend(opts: &BackendOptions) -> Program {
     m.channel("chIfft", dep, cvec_ty(), &d.ifft, &d.imdct);
     m.channel("chPost", dep, rvec_ty(), &d.imdct, &d.window);
     m.channel("chOut", dep, pcm_ty(), &d.window, SW);
-    m.submodule("ifft", ifft_def, vec![]);
+    m.submodule("ifft", ifft.name.clone(), vec![]);
     m.submodule("window", "Window", vec![]);
 
     // Backend FSMs (always software).
@@ -314,8 +316,7 @@ pub fn build_backend(opts: &BackendOptions) -> Program {
     );
 
     let mut p = Program::with_root(m.build());
-    p.add_module(mk_ifft_pipe());
-    p.add_module(mk_ifft_comb());
+    p.add_module(ifft);
     p.add_module(mk_window());
     p
 }

@@ -25,11 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut results = Vec::new();
+    let mut mismatched = Vec::new();
     for p in VorbisPartition::ALL {
         let run = run_partition(p, &frames)?;
         let ok = if run.pcm == golden {
             "bit-exact"
         } else {
+            mismatched.push(p.label());
             "MISMATCH!"
         };
         println!(
@@ -42,6 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ok
         );
         results.push((p, run.fpga_cycles));
+    }
+    if !mismatched.is_empty() {
+        return Err(format!(
+            "PCM differs from the hand-written decoder under partition(s) {}",
+            mismatched.join(", ")
+        )
+        .into());
     }
 
     results.sort_by_key(|(_, c)| *c);

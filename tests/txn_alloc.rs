@@ -23,6 +23,10 @@
 //! A message crossing a perfect link reuses the transactor's receive
 //! buffer and a word buffer of an earlier delivered message, so the ray
 //! tracer's per-ray allocations are what its software side keeps.
+//!
+//! Construction hands each layer's output on by move or shared
+//! reference: building a co-simulation copies no partition design, and
+//! the Vorbis program builds only the IFFT it instantiates.
 
 use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::design::Design;
@@ -38,6 +42,7 @@ use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
 use bcl_raytrace::partitions::{build_cosim as rt_build_cosim, RtPartition};
+use bcl_vorbis::bcl::{build_backend, build_design, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::partitions::{build_cosim as vorbis_build_cosim, VorbisPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -340,4 +345,74 @@ fn raytrace_run_allocates_at_most_three_times_per_ray() {
         large.saturating_sub(small) <= 3 * extra_rays + 2,
         "{small} allocations at 8x8, {large} at 16x16: more than 3 per ray"
     );
+}
+
+/// What `Cosim::multi` may allocate beyond its runners on Vorbis
+/// partition C: the shallow copy of the partitioning (domain names,
+/// channel specs, domain map), the links, the transactors and the
+/// per-partition channel lists and routes.
+const COSIM_BUILD_BUDGET: u64 = 400;
+
+#[test]
+fn cosim_build_copies_no_design() {
+    let design = build_design(&BackendOptions {
+        domains: VorbisPartition::C.domains(),
+        ..Default::default()
+    })
+    .unwrap();
+    let parts = partition(&design, SW).unwrap();
+    let opts = SwOptions {
+        strategy: Strategy::Dataflow,
+        ..ExecBackend::Compiled.sw_options()
+    };
+    let hw_domains = parts.hw_domains(SW);
+    assert_eq!(hw_domains, [HW], "partition C has one accelerator");
+    let cfgs: Vec<HwPartitionCfg> = hw_domains
+        .iter()
+        .map(|d| HwPartitionCfg::new(d).with_compiled(true))
+        .collect();
+
+    // The schedulers `multi` builds, on the same designs and options.
+    let sw = parts.partition(SW).unwrap();
+    let mut runners = allocs_during(|| drop(SwRunner::new(sw, opts).unwrap()));
+    for d in &hw_domains {
+        let hw = parts.partition(d).unwrap();
+        runners += allocs_during(|| {
+            let mut sim = HwSim::with_store(hw, Store::new_like(hw, opts.flat)).unwrap();
+            sim.set_compiled(true);
+            drop(sim);
+        });
+    }
+    let multi = allocs_during(|| {
+        drop(Cosim::multi(&parts, SW, &cfgs, InterHwRouting::ViaHub, opts).unwrap());
+    });
+
+    // The budget must be too small to hide one copy of either design.
+    let copy = |d: &Design| allocs_during(|| drop(d.clone()));
+    let smallest_copy = copy(sw).min(copy(parts.partition(HW).unwrap()));
+    assert!(
+        COSIM_BUILD_BUDGET < smallest_copy,
+        "a design copy costs only {smallest_copy} allocations"
+    );
+    assert!(
+        multi <= runners + COSIM_BUILD_BUDGET,
+        "Cosim::multi made {multi} allocations; its runners alone make {runners}"
+    );
+}
+
+#[test]
+fn vorbis_program_builds_only_the_instantiated_ifft() {
+    for (pipelined, name) in [(true, "IFFTPipe"), (false, "IFFTComb")] {
+        let p = build_backend(&BackendOptions {
+            pipelined_ifft: pipelined,
+            ..Default::default()
+        });
+        let iffts: Vec<&str> = p
+            .modules
+            .iter()
+            .map(|m| m.name.as_str())
+            .filter(|n| n.starts_with("IFFT"))
+            .collect();
+        assert_eq!(iffts, [name], "pipelined_ifft = {pipelined}");
+    }
 }
