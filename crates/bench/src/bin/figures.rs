@@ -5,10 +5,10 @@
 //! ```
 //!
 //! `--full` uses the paper's workload sizes (10000 Vorbis frames, 1024
-//! primitives with a 32×32 image; expect ~40 minutes), `--medium` runs
-//! 2000 frames and the 1024-primitive scene at 16×16 (~8 minutes), and
-//! the default is a quick scaled-down run. All three have identical
-//! qualitative shape.
+//! primitives with a 32×32 image; about 35 s in a release build on a
+//! 2-core Xeon), `--medium` runs 2000 frames and the 1024-primitive
+//! scene at 16×16 (about 20 s), and the default is a quick scaled-down
+//! run (about 3.5 s). All three have identical qualitative shape.
 
 use bcl_bench::{
     ablation_grid, bar_chart, measure_round_trip, measure_stream_bandwidth, vorbis_baseline_rows,
@@ -99,7 +99,7 @@ fn fig13_raytrace(scale: Scale) {
         .iter()
         .map(|(p, r)| Row {
             label: p.label().to_string(),
-            desc: format!("{} ({:.0} cyc/ray)", p.description(), r.cycles_per_ray()),
+            desc: format!("{} ({:.0} cyc/ray)", p.description(), r.cycles_per_item()),
             cycles: r.fpga_cycles,
         })
         .collect();

@@ -2,8 +2,8 @@
 //!
 //! Regenerates every figure and table of the paper's evaluation (§7) on
 //! the modeled platform, plus the ablation studies for the §6.3 compiler
-//! optimizations. The `figures` binary prints the rows; the Criterion
-//! benches measure the harness itself.
+//! optimizations. The `figures` binary prints the rows; simulator wall
+//! clock is measured by `perfbench`, not here.
 
 #![warn(missing_docs)]
 

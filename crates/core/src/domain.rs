@@ -21,6 +21,9 @@ use crate::prim::PrimSpec;
 pub const HW: &str = "HW";
 /// The conventional software domain name.
 pub const SW: &str = "SW";
+/// The conventional domain name of a second accelerator (the first
+/// uses [`HW`]).
+pub const HW2: &str = "HW2";
 
 /// The result of domain inference for a design.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2918,14 +2918,11 @@ fn spec_kind(spec: &PrimSpec) -> &'static str {
 mod tests {
     use super::*;
     use bcl_core::builder::{dsl::*, ModuleBuilder};
-    use bcl_core::domain::{HW, SW};
+    use bcl_core::domain::{HW, HW2, SW};
     use bcl_core::elaborate;
     use bcl_core::partition::{fuse_syncs, partition};
     use bcl_core::program::Program;
     use bcl_core::types::Type;
-
-    /// Second hardware domain for multi-accelerator tests.
-    const HW2: &str = "HW2";
 
     /// src(SW) -> inSync -> HW (+1000) -> outSync -> snk(SW)
     fn offload_design(hw: bool) -> bcl_core::design::Design {

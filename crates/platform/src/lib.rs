@@ -28,6 +28,10 @@
 //!   ([`persist::CheckpointPolicy`]), and cross-process live migration
 //!   ([`cosim::Cosim::resume_from_file`]) — a run killed at any instant
 //!   resumes bit- and cycle-identically in a fresh process.
+//! * [`harness`] is the one driver the application case studies run
+//!   through: build a partition on the ML507 link, queue its inputs, run
+//!   it to completion (optionally autosaving, resuming or migrating),
+//!   and report a [`harness::PartitionRun`].
 //!
 //! ```
 //! use bcl_core::builder::{dsl::*, ModuleBuilder};
@@ -60,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod cosim;
+pub mod harness;
 pub mod link;
 pub mod persist;
 pub mod transactor;

@@ -22,7 +22,7 @@
 //! let bvh = build_bvh(&scene);
 //! let golden = render(&bvh, &gen_rays(2, 2));
 //! let run = run_partition(RtPartition::C, &bvh, 2, 2)?;
-//! assert_eq!(run.image, golden);
+//! assert_eq!(run.output, golden);
 //! # Ok(())
 //! # }
 //! ```

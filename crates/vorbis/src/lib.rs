@@ -22,7 +22,7 @@
 //! let frames = frame_stream(2, 42);
 //! let golden = NativeBackend::new().run(&frames);
 //! let run = run_partition(VorbisPartition::E, &frames)?;
-//! assert_eq!(run.pcm, golden);
+//! assert_eq!(run.output, golden);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,6 +1,6 @@
 //! The six HW/SW decompositions of the Vorbis back-end (Figure 12) and
-//! the harness that measures them on the modeled platform (Figure 13,
-//! left).
+//! what the [`harness`] needs to measure them on the modeled platform
+//! (Figure 13, left).
 //!
 //! | Partition | IMDCT FSMs + tables | IFFT core | Window |
 //! |---|---|---|---|
@@ -16,16 +16,17 @@
 //! software.
 
 use crate::bcl::{build_design, frame_value, pcm_of_values, BackendOptions, VorbisDomains};
-use bcl_core::domain::{HW, SW};
-use bcl_core::partition::partition;
-use bcl_core::sched::{ExecBackend, Strategy, SwOptions};
-use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting, RecoveryPolicy};
-use bcl_platform::link::{FaultConfig, LinkConfig, LinkStats};
+use bcl_core::design::Design;
+use bcl_core::domain::{HW, HW2, SW};
+use bcl_core::error::ElabError;
+use bcl_core::sched::ExecBackend;
+use bcl_core::value::Value;
+use bcl_platform::cosim::{Cosim, RecoveryPolicy};
+use bcl_platform::harness::{self, Application, PartitionRun};
+use bcl_platform::link::FaultConfig;
 use bcl_platform::PlatformError;
 
-/// Domain name of the second accelerator in multi-accelerator
-/// partitions (the first uses [`HW`]).
-pub const HW2: &str = "HW2";
+pub use bcl_platform::harness::ml507_link;
 
 /// The partitions evaluated in Figure 13 (left).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,184 +89,102 @@ impl VorbisPartition {
 
     /// Domain placement for this partition.
     pub fn domains(&self) -> VorbisDomains {
-        if let VorbisPartition::G = self {
-            return VorbisDomains {
-                imdct: HW.to_string(),
-                ifft: HW.to_string(),
-                window: HW2.to_string(),
-            };
-        }
-        let pick = |hw: bool| if hw { HW.to_string() } else { SW.to_string() };
         let (imdct, ifft, window) = match self {
-            VorbisPartition::A => (false, false, true),
-            VorbisPartition::B => (false, true, false),
-            VorbisPartition::C => (false, true, true),
-            VorbisPartition::D => (true, true, false),
-            VorbisPartition::E => (true, true, true),
-            VorbisPartition::F => (false, false, false),
-            VorbisPartition::G => unreachable!(),
+            VorbisPartition::A => (SW, SW, HW),
+            VorbisPartition::B => (SW, HW, SW),
+            VorbisPartition::C => (SW, HW, HW),
+            VorbisPartition::D => (HW, HW, SW),
+            VorbisPartition::E => (HW, HW, HW),
+            VorbisPartition::F => (SW, SW, SW),
+            VorbisPartition::G => (HW, HW, HW2),
         };
         VorbisDomains {
-            imdct: pick(imdct),
-            ifft: pick(ifft),
-            window: pick(window),
+            imdct: imdct.into(),
+            ifft: ifft.into(),
+            window: window.into(),
         }
     }
 }
 
-/// The modeled ML507 platform configuration used for all Figure 13
-/// measurements: the LocalLink defaults plus a driver that pays 32 CPU
-/// cycles per marshaled word — uncached PLB accesses plus cache
-/// management around the HDMA buffers, each tens of cycles on a PPC440.
-pub fn ml507_link() -> LinkConfig {
-    LinkConfig {
-        sw_word_cost: 32,
-        ..Default::default()
-    }
-}
+/// The result of running one partition over a frame stream: `output` is
+/// the decoded PCM, `items` the frames decoded.
+pub type VorbisRun = PartitionRun<VorbisPartition>;
 
-/// The result of running one partition over a frame stream.
-#[derive(Debug, Clone)]
-pub struct VorbisRun {
+/// One partition decoding a frame stream: what the [`harness`] needs to
+/// build and run it. In partition G the fault model hits IMDCT+IFFT.
+#[derive(Debug, Clone, Copy)]
+pub struct Decode<'a>(
     /// Partition measured.
-    pub partition: VorbisPartition,
-    /// End-to-end execution time in FPGA cycles (the Figure 13 metric).
-    pub fpga_cycles: u64,
-    /// CPU cycles consumed by the software partition (incl. driver work).
-    pub sw_cpu_cycles: u64,
-    /// Link traffic.
-    pub link: LinkStats,
-    /// Decoded PCM stream.
-    pub pcm: Vec<i64>,
-    /// Frames decoded.
-    pub frames: usize,
-    /// Hardware partitions still executing in hardware at the end of the
-    /// run (partitions spliced into software by a failover don't count).
-    pub hw_partitions: usize,
-    /// True if a partition was failed over to software during the run.
-    pub failed_over: bool,
-    /// True if a software-owned partition was revived back into hardware
-    /// during the run.
-    pub revived: bool,
-    /// Guards actually evaluated across all schedulers (cache hits are
-    /// excluded; naive mode would evaluate `guard_evals +
-    /// guard_evals_skipped` times).
-    pub guard_evals: u64,
-    /// Guard evaluations the event-driven schedulers skipped.
-    pub guard_evals_skipped: u64,
-}
+    pub VorbisPartition,
+    /// Input frames, one source value each.
+    pub &'a [Vec<i64>],
+);
 
-impl VorbisRun {
-    /// FPGA cycles per frame.
-    pub fn cycles_per_frame(&self) -> f64 {
-        self.fpga_cycles as f64 / self.frames.max(1) as f64
+impl Application for Decode<'_> {
+    type Partition = VorbisPartition;
+    const SOURCE: &'static str = "src";
+    const SINK: &'static str = "audioDev";
+    // Generous: even the slowest partition needs < 40k cycles per frame.
+    const CYCLES_PER_ITEM: u64 = 40_000;
+    const CYCLE_SLACK: u64 = 10_000;
+
+    fn partition(&self) -> VorbisPartition {
+        self.0
+    }
+
+    fn placement(&self) -> Vec<String> {
+        let d = self.0.domains();
+        vec![d.imdct, d.ifft, d.window]
+    }
+
+    fn design(&self) -> Result<Design, ElabError> {
+        let opts = BackendOptions {
+            domains: self.0.domains(),
+            ..Default::default()
+        };
+        build_design(&opts)
+    }
+
+    fn items(&self) -> usize {
+        self.1.len()
+    }
+
+    fn input(&self, i: usize) -> Value {
+        frame_value(&self.1[i])
+    }
+
+    fn decode(&self, values: &[Value]) -> Vec<i64> {
+        pcm_of_values(values)
     }
 }
 
-/// Runs a partition over a frame stream on the modeled platform, with
-/// every scheduler on the production [`ExecBackend::Compiled`] path.
+/// Decodes a frame stream under one partition on the production
+/// [`ExecBackend::Compiled`] path; the other variants are the
+/// [`harness`] functions applied to a [`Decode`].
 ///
 /// # Errors
 ///
-/// Propagates elaboration/partitioning/platform errors (all of which
-/// indicate internal bugs rather than user error) and simulation timeouts.
+/// Build, partitioning and platform errors, and simulation timeouts.
 pub fn run_partition(
     which: VorbisPartition,
     frames: &[Vec<i64>],
 ) -> Result<VorbisRun, PlatformError> {
-    run_partition_with_faults(which, frames, FaultConfig::none())
-}
-
-/// Runs a partition on a link with deterministic fault injection: the
-/// transactor's reliable transport must hide the faults, so the decoded
-/// PCM is bit-identical to a fault-free run (it just takes longer).
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_with_faults(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-) -> Result<VorbisRun, PlatformError> {
-    run_partition_with_recovery(which, frames, faults, RecoveryPolicy::Fail)
-}
-
-/// Runs a partition with both a fault model and a recovery policy for
-/// scripted hardware-partition faults: restart-from-checkpoint replays to
-/// the exact fault-free trajectory, failover-to-software finishes the
-/// stream with the lost partition fused into software (any other
-/// accelerators keep running in hardware). Either way the decoded PCM is
-/// bit-identical to a fault-free run.
-///
-/// The fault model (including scripted partition faults) applies to the
-/// *first* hardware partition — for the multi-accelerator partition G
-/// that is the IMDCT+IFFT accelerator; the window accelerator runs on a
-/// clean link. Channels between two accelerators route through the
-/// software hub, as on the paper's bus-attached platform.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`], plus partition loss when the
-/// policy gives up.
-pub fn run_partition_with_recovery(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-) -> Result<VorbisRun, PlatformError> {
-    run_partition_full(which, frames, faults, policy, true)
-}
-
-/// Runs a partition on the [`ExecBackend::Naive`] reference: every
-/// scheduler evaluates every guard each step and interprets the rules
-/// over tree stores. Cycle counts and PCM are identical to
-/// [`run_partition`]; only simulator wall-clock time differs. Used as the
-/// test oracle for the compiled backend.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn run_partition_naive(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-) -> Result<VorbisRun, PlatformError> {
-    run_partition_full(
-        which,
-        frames,
+    let app = Decode(which, frames);
+    harness::run(
+        &app,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
-        false,
+        ExecBackend::Compiled,
     )
 }
 
-/// Builds the fault-free co-simulation for a partition on the given
-/// executor backend, with the input frames queued but nothing run yet.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition`].
-pub fn build_cosim(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    make_cosim_full(
-        which,
-        frames,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        backend,
-    )
-}
-
-/// Builds the co-simulation for a partition exactly as every run entry
-/// point does, with the input frames queued. Deterministic in its
-/// arguments, so two processes calling it with the same arguments get
-/// interchangeable systems — the contract [`resume_partition`] and
-/// [`run_partition_migrated`] rely on (the design fingerprint pins it).
-/// `event_driven` selects [`ExecBackend::Compiled`]; `false` selects the
+/// [`harness::build`] for a partition, with the input frames queued:
+/// `event_driven` selects [`ExecBackend::Compiled`], `false` the
 /// [`ExecBackend::Naive`] reference.
+///
+/// # Errors
+///
+/// Same conditions as [`run_partition`].
 pub fn make_cosim(
     which: VorbisPartition,
     frames: &[Vec<i64>],
@@ -278,200 +197,8 @@ pub fn make_cosim(
     } else {
         ExecBackend::Naive
     };
-    make_cosim_full(which, frames, faults, policy, backend)
-}
-
-fn make_cosim_full(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    backend: ExecBackend,
-) -> Result<Cosim, PlatformError> {
-    let domains = which.domains();
-    let opts = BackendOptions {
-        domains: domains.clone(),
-        ..Default::default()
-    };
-    let design = build_design(&opts).map_err(|e| PlatformError::new(e.to_string()))?;
-    let parts = partition(&design, SW).map_err(|e| PlatformError::new(e.to_string()))?;
-    let sw_opts = SwOptions {
-        strategy: Strategy::Dataflow,
-        ..backend.sw_options()
-    };
-    let mut hw_domains: Vec<&str> = Vec::new();
-    for d in [&domains.imdct, &domains.ifft, &domains.window] {
-        if d != SW && !hw_domains.contains(&d.as_str()) {
-            hw_domains.push(d);
-        }
-    }
-    if hw_domains.is_empty() {
-        // Keep the two-domain configuration shape for all-software runs.
-        hw_domains.push(HW);
-    }
-    let cfgs: Vec<HwPartitionCfg> = hw_domains
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let cfg = HwPartitionCfg::new(d)
-                .with_link(ml507_link())
-                .with_event_driven(backend.event_driven())
-                .with_compiled(backend.compiled());
-            if i == 0 {
-                cfg.with_faults(faults.clone())
-            } else {
-                cfg
-            }
-        })
-        .collect();
-    let mut cosim = Cosim::multi(&parts, SW, &cfgs, InterHwRouting::ViaHub, sw_opts)?;
-    cosim.set_recovery_policy(policy);
-    for f in frames {
-        cosim.push_source("src", frame_value(f));
-    }
-    Ok(cosim)
-}
-
-/// Runs a built co-simulation to stream completion and assembles the
-/// [`VorbisRun`]. Works identically for fresh and resumed systems.
-fn finish_run(
-    mut cosim: Cosim,
-    which: VorbisPartition,
-    want: usize,
-    faulty: bool,
-) -> Result<VorbisRun, PlatformError> {
-    // Generous bound: even the slowest partition needs < 40k cycles/frame.
-    // Heavy fault injection multiplies that by retransmission rounds.
-    let mut max_cycles = 40_000u64 * want as u64 + 10_000;
-    if faulty {
-        max_cycles = max_cycles.saturating_mul(500);
-    }
-    let outcome = cosim
-        .run_until(|c| c.sink_count("audioDev") == want, max_cycles)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !outcome.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} did not finish ({outcome:?}) with {}/{} frames",
-            which.label(),
-            cosim.sink_count("audioDev"),
-            want
-        )));
-    }
-    let (guard_evals, guard_evals_skipped) = cosim.guard_eval_totals();
-    Ok(VorbisRun {
-        partition: which,
-        fpga_cycles: outcome.fpga_cycles(),
-        sw_cpu_cycles: cosim.sw.cpu_cycles(),
-        link: cosim.link_stats(),
-        pcm: pcm_of_values(cosim.sink_values("audioDev")),
-        frames: want,
-        hw_partitions: cosim.hw_partition_count(),
-        failed_over: cosim.failed_over(),
-        revived: cosim.revived(),
-        guard_evals,
-        guard_evals_skipped,
-    })
-}
-
-fn run_partition_full(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    event_driven: bool,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let cosim = make_cosim(which, frames, faults, policy, event_driven)?;
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Runs a partition while autosaving crash-consistent snapshots every
-/// `interval` FPGA cycles into `dir` (see
-/// [`CheckpointPolicy`](bcl_platform::persist::CheckpointPolicy)). If
-/// the process dies mid-decode, [`resume_partition`] picks the run back
-/// up from the latest complete autosave, bit- and cycle-identically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus snapshot
-/// I/O failures.
-pub fn run_partition_autosaving(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    interval: u64,
-    dir: &std::path::Path,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, true)?;
-    cosim.set_autosave(bcl_platform::persist::CheckpointPolicy::new(interval, dir));
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Resumes a decode from a snapshot file written by an autosaving run
-/// (or an explicit [`Cosim::write_snapshot_file`]) in a fresh process:
-/// rebuilds the co-simulation from the same arguments, restores the
-/// snapshot into it, and finishes the stream. The completed run is bit-
-/// and cycle-identical to one that was never interrupted.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error (corrupt bytes, wrong design, topology skew).
-pub fn resume_partition(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    snapshot: &std::path::Path,
-) -> Result<VorbisRun, PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut cosim = make_cosim(which, frames, faults, policy, true)?;
-    cosim
-        .resume_from_file(snapshot)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    finish_run(cosim, which, frames.len(), faulty)
-}
-
-/// Live migration in-process: runs a partition to `split_cycle`,
-/// serializes the whole system to bytes, restores them into a *freshly
-/// built* co-simulation (exactly what a new process would construct),
-/// and finishes the stream there. Returns the completed run and the
-/// snapshot size in bytes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_partition_with_recovery`], plus every typed
-/// snapshot error.
-pub fn run_partition_migrated(
-    which: VorbisPartition,
-    frames: &[Vec<i64>],
-    faults: FaultConfig,
-    policy: RecoveryPolicy,
-    split_cycle: u64,
-) -> Result<(VorbisRun, usize), PlatformError> {
-    let faulty = faults.is_active() || faults.has_partition_faults();
-    let mut first = make_cosim(which, frames, faults.clone(), policy, true)?;
-    let out = first
-        .run_until(|c| c.fpga_cycles >= split_cycle, u64::MAX)
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    if !out.is_done() {
-        return Err(PlatformError::new(format!(
-            "partition {} never reached split cycle {split_cycle} ({out:?})",
-            which.label()
-        )));
-    }
-    let bytes = first
-        .snapshot_bytes()
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    drop(first);
-    let mut second = make_cosim(which, frames, faults, policy, true)?;
-    second
-        .resume_from(&mut bytes.as_slice())
-        .map_err(|e| PlatformError::new(e.to_string()))?;
-    let run = finish_run(second, which, frames.len(), faulty)?;
-    Ok((run, bytes.len()))
+    let app = Decode(which, frames);
+    harness::build(&app, faults, policy, backend)
 }
 
 #[cfg(test)]
@@ -486,7 +213,12 @@ mod tests {
         let expected = NativeBackend::new().run(&frames);
         for p in VorbisPartition::ALL {
             let run = run_partition(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-            assert_eq!(run.pcm, expected, "partition {} output mismatch", p.label());
+            assert_eq!(
+                run.output,
+                expected,
+                "partition {} output mismatch",
+                p.label()
+            );
             assert!(run.fpga_cycles > 0);
         }
     }
@@ -499,24 +231,24 @@ mod tests {
         // Mid-decode reset, restart from checkpoint: identical PCM *and*
         // identical end-to-end time (the replay converges to the
         // fault-free trajectory).
-        let restart = run_partition_with_recovery(
-            VorbisPartition::E,
-            &frames,
+        let restart = harness::run(
+            &Decode(VorbisPartition::E, &frames),
             FaultConfig::none().with_partition_fault(PartitionFault::ResetAt(5_000)),
             RecoveryPolicy::restart(2_000),
+            ExecBackend::Compiled,
         )
         .unwrap();
-        assert_eq!(restart.pcm, clean.pcm);
+        assert_eq!(restart.output, clean.output);
         assert_eq!(restart.fpga_cycles, clean.fpga_cycles);
         // Mid-decode death, software takeover: identical PCM, slower.
-        let failover = run_partition_with_recovery(
-            VorbisPartition::E,
-            &frames,
+        let failover = harness::run(
+            &Decode(VorbisPartition::E, &frames),
             FaultConfig::none().with_partition_fault(PartitionFault::DieAt(5_000)),
             RecoveryPolicy::failover(2_000),
+            ExecBackend::Compiled,
         )
         .unwrap();
-        assert_eq!(failover.pcm, clean.pcm);
+        assert_eq!(failover.output, clean.output);
     }
 
     #[test]
@@ -533,19 +265,19 @@ mod tests {
         // fraction of hardware speed, so one clean-run-length after the
         // death it still has most of the remaining frames queued.
         let revive_at = die_at + clean.fpga_cycles;
-        let run = run_partition_with_recovery(
-            VorbisPartition::E,
-            &frames,
+        let run = harness::run(
+            &Decode(VorbisPartition::E, &frames),
             FaultConfig::none()
                 .with_partition_fault(PartitionFault::DieAt(die_at))
                 .with_partition_fault(PartitionFault::ReviveAt(revive_at)),
             RecoveryPolicy::failover((die_at / 4).max(1)),
+            ExecBackend::Compiled,
         )
         .unwrap();
         assert!(run.failed_over, "the death must strike mid-decode");
         assert!(run.revived, "the revival must fire before the decode ends");
         assert_eq!(
-            run.pcm, clean.pcm,
+            run.output, clean.output,
             "die → failover → revive must not change the PCM"
         );
         assert_eq!(
@@ -559,7 +291,7 @@ mod tests {
         let frames = frame_stream(3, 21);
         let expected = NativeBackend::new().run(&frames);
         let run = run_partition(VorbisPartition::G, &frames).unwrap();
-        assert_eq!(run.pcm, expected, "G output mismatch");
+        assert_eq!(run.output, expected, "G output mismatch");
         assert_eq!(run.hw_partitions, 2, "G runs two accelerators");
         assert!(!run.failed_over);
     }
@@ -574,18 +306,21 @@ mod tests {
         let frames = frame_stream(3, 21);
         let clean = run_partition(VorbisPartition::G, &frames).unwrap();
         let die_at = clean.fpga_cycles / 2;
-        let failover = run_partition_with_recovery(
-            VorbisPartition::G,
-            &frames,
+        let failover = harness::run(
+            &Decode(VorbisPartition::G, &frames),
             FaultConfig::none().with_partition_fault(PartitionFault::DieAt(die_at)),
             RecoveryPolicy::failover((die_at / 4).max(1)),
+            ExecBackend::Compiled,
         )
         .unwrap();
         assert!(
             failover.fpga_cycles > die_at,
             "the fault must strike mid-stream"
         );
-        assert_eq!(failover.pcm, clean.pcm, "death must not corrupt the PCM");
+        assert_eq!(
+            failover.output, clean.output,
+            "death must not corrupt the PCM"
+        );
         assert!(failover.failed_over);
         assert_eq!(
             failover.hw_partitions, 1,
@@ -597,9 +332,16 @@ mod tests {
     fn compiled_matches_naive_reference_on_partitions() {
         let frames = frame_stream(2, 21);
         for p in [VorbisPartition::E, VorbisPartition::F] {
-            let base = run_partition_naive(p, &frames).unwrap();
+            let app = Decode(p, &frames);
+            let base = harness::run(
+                &app,
+                FaultConfig::none(),
+                RecoveryPolicy::Fail,
+                ExecBackend::Naive,
+            )
+            .unwrap();
             let compiled = run_partition(p, &frames).unwrap();
-            assert_eq!(compiled.pcm, base.pcm, "partition {}", p.label());
+            assert_eq!(compiled.output, base.output, "partition {}", p.label());
             assert_eq!(
                 compiled.fpga_cycles,
                 base.fpga_cycles,

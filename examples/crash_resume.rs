@@ -13,11 +13,10 @@
 //! ```
 
 use bcl_platform::cosim::RecoveryPolicy;
+use bcl_platform::harness;
 use bcl_platform::link::FaultConfig;
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{
-    resume_partition, run_partition, run_partition_autosaving, VorbisPartition,
-};
+use bcl_vorbis::partitions::{run_partition, Decode, VorbisPartition};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -31,9 +30,10 @@ fn frames() -> Vec<Vec<i64>> {
 /// Child half: decode with autosave armed. This process will be killed
 /// without warning; it never gets to exit cleanly.
 fn child(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-    run_partition_autosaving(
-        VorbisPartition::E,
-        &frames(),
+    let frames = frames();
+    let app = Decode(VorbisPartition::E, &frames);
+    harness::run_autosaving(
+        &app,
         FaultConfig::none(),
         RecoveryPolicy::Fail,
         AUTOSAVE_INTERVAL,
@@ -52,7 +52,7 @@ fn parent() -> Result<(), Box<dyn std::error::Error>> {
     let reference = run_partition(VorbisPartition::E, &frames)?;
     println!(
         "reference:  {} frames in {} cycles",
-        reference.frames, reference.fpga_cycles
+        reference.items, reference.fpga_cycles
     );
 
     let mut worker = Command::new(std::env::current_exe()?)
@@ -81,19 +81,14 @@ fn parent() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::metadata(&snapshot)?.len()
     );
 
-    let resumed = resume_partition(
-        VorbisPartition::E,
-        &frames,
-        FaultConfig::none(),
-        RecoveryPolicy::Fail,
-        &snapshot,
-    )?;
+    let app = Decode(VorbisPartition::E, &frames);
+    let resumed = harness::resume(&app, FaultConfig::none(), RecoveryPolicy::Fail, &snapshot)?;
     println!(
         "resumed:    {} frames in {} cycles",
-        resumed.frames, resumed.fpga_cycles
+        resumed.items, resumed.fpga_cycles
     );
 
-    let ok = resumed.pcm == reference.pcm && resumed.fpga_cycles == reference.fpga_cycles;
+    let ok = resumed.output == reference.output && resumed.fpga_cycles == reference.fpga_cycles;
     println!(
         "\nresumed run is bit- and cycle-identical: {}",
         if ok { "yes" } else { "NO!" }

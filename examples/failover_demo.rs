@@ -10,10 +10,12 @@
 //! cargo run --release --example failover_demo [fault_cycle] [ckpt_interval]
 //! ```
 
+use bcl_core::sched::ExecBackend;
 use bcl_platform::cosim::RecoveryPolicy;
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{run_partition, run_partition_with_recovery, VorbisPartition};
+use bcl_vorbis::partitions::{run_partition, Decode, VorbisPartition};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,45 +30,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clean = run_partition(VorbisPartition::E, &frames)?;
     println!(
         "fault-free:        {} PCM samples, {} FPGA cycles",
-        clean.pcm.len(),
+        clean.output.len(),
         clean.fpga_cycles
     );
 
     let reset = FaultConfig::none().with_partition_fault(PartitionFault::ResetAt(fault_cycle));
-    let restarted = run_partition_with_recovery(
-        VorbisPartition::E,
-        &frames,
+    let app = Decode(VorbisPartition::E, &frames);
+    let restarted = harness::run(
+        &app,
         reset,
         RecoveryPolicy::restart(interval),
+        ExecBackend::Compiled,
     )?;
     println!(
         "reset @ {fault_cycle} + restart-from-checkpoint (interval {interval}): \
          {} samples, {} cycles",
-        restarted.pcm.len(),
+        restarted.output.len(),
         restarted.fpga_cycles
     );
     println!(
         "  PCM bit-identical: {}; cycle-identical: {}",
-        yes(restarted.pcm == clean.pcm),
+        yes(restarted.output == clean.output),
         yes(restarted.fpga_cycles == clean.fpga_cycles),
     );
 
     let death = FaultConfig::none().with_partition_fault(PartitionFault::DieAt(fault_cycle));
-    let failed_over = run_partition_with_recovery(
-        VorbisPartition::E,
-        &frames,
+    let failed_over = harness::run(
+        &app,
         death,
         RecoveryPolicy::failover(interval),
+        ExecBackend::Compiled,
     )?;
     println!(
         "death @ {fault_cycle} + failover-to-software (interval {interval}): \
          {} samples, {} cycles",
-        failed_over.pcm.len(),
+        failed_over.output.len(),
         failed_over.fpga_cycles
     );
     println!(
         "  PCM bit-identical: {}; slowdown over hardware: {:.1}x",
-        yes(failed_over.pcm == clean.pcm),
+        yes(failed_over.output == clean.output),
         failed_over.fpga_cycles as f64 / clean.fpga_cycles as f64,
     );
     Ok(())

@@ -13,13 +13,14 @@ use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::domain::{HW, SW};
 use bcl_core::partition::partition;
 use bcl_core::program::Program;
-use bcl_core::sched::SwOptions;
+use bcl_core::sched::{ExecBackend, SwOptions};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
-use bcl_platform::cosim::{Cosim, CosimOutcome};
+use bcl_platform::cosim::{Cosim, CosimOutcome, RecoveryPolicy};
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, LinkConfig};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{run_partition, run_partition_with_faults, VorbisPartition};
+use bcl_vorbis::partitions::{run_partition, Decode, VorbisPartition};
 
 fn dead_direction_demo() -> Result<(), Box<dyn std::error::Error>> {
     let mut m = ModuleBuilder::new("Echo");
@@ -86,16 +87,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clean = run_partition(VorbisPartition::E, &frames)?;
     println!(
         "clean link:  {} PCM samples, {} FPGA cycles",
-        clean.pcm.len(),
+        clean.output.len(),
         clean.fpga_cycles
     );
 
-    let faulty = run_partition_with_faults(VorbisPartition::E, &frames, faults.clone())?;
+    let app = Decode(VorbisPartition::E, &frames);
+    let run_faulty =
+        |faults| harness::run(&app, faults, RecoveryPolicy::Fail, ExecBackend::Compiled);
+    let faulty = run_faulty(faults.clone())?;
     let s = &faulty.link;
     println!(
         "faulty link: {} PCM samples, {} FPGA cycles (seed {seed}, \
          {:.0}% drop, {:.0}% corrupt, 10% dup, 10% reorder)",
-        faulty.pcm.len(),
+        faulty.output.len(),
         faulty.fpga_cycles,
         loss * 100.0,
         corrupt * 100.0,
@@ -109,14 +113,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  PCM bit-identical to clean run: {}",
-        if faulty.pcm == clean.pcm {
+        if faulty.output == clean.output {
             "yes"
         } else {
             "NO!"
         }
     );
 
-    let again = run_partition_with_faults(VorbisPartition::E, &frames, faults)?;
+    let again = run_faulty(faults)?;
     println!(
         "  same seed reproduces exactly: {}",
         if again.fpga_cycles == faulty.fpga_cycles && again.link == faulty.link {

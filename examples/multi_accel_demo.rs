@@ -11,6 +11,7 @@
 //! cargo run --release --example multi_accel_demo [n_frames]
 //! ```
 
+use bcl_core::domain::HW2;
 use bcl_core::domain::SW;
 use bcl_core::partition::partition;
 use bcl_core::sched::{Strategy, SwOptions};
@@ -19,7 +20,7 @@ use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_vorbis::bcl::{build_design, frame_value, pcm_of_values, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
 use bcl_vorbis::native::NativeBackend;
-use bcl_vorbis::partitions::{ml507_link, VorbisPartition, HW2};
+use bcl_vorbis::partitions::{ml507_link, VorbisPartition};
 
 struct DemoRun {
     pcm: Vec<i64>,

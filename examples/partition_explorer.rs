@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mismatched = Vec::new();
     for p in VorbisPartition::ALL {
         let run = run_partition(p, &frames)?;
-        let ok = if run.pcm == golden {
+        let ok = if run.output == golden {
             "bit-exact"
         } else {
             mismatched.push(p.label());

@@ -15,9 +15,10 @@ use bcl_core::sched::SwOptions;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_platform::cosim::{Checkpoint, Cosim, RecoveryPolicy};
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, LinkConfig};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{run_partition, run_partition_autosaving, VorbisPartition};
+use bcl_vorbis::partitions::{run_partition, Decode, VorbisPartition};
 use std::time::Instant;
 
 /// The failback demo's offload kernel with a `scratch`-entry register
@@ -126,11 +127,11 @@ fn autosave_overhead() -> Result<(), Box<dyn std::error::Error>> {
         "{:>10} {:>10} {:>12} {:>10}",
         "interval", "saves", "wall (ms)", "overhead"
     );
+    let app = Decode(VorbisPartition::E, &frames);
     for interval in [2_000u64, 500, 100] {
         let t = Instant::now();
-        let run = run_partition_autosaving(
-            VorbisPartition::E,
-            &frames,
+        let run = harness::run_autosaving(
+            &app,
             FaultConfig::none(),
             RecoveryPolicy::Fail,
             interval,

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  execution time : {} FPGA cycles ({:.0} per ray)",
         run.fpga_cycles,
-        run.cycles_per_ray()
+        run.cycles_per_item()
     );
     println!(
         "  bus traffic    : {} words to HW, {} words to SW",
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Golden check + traversal statistics from the native tracer.
     let mut stats = TraceStats::default();
     let golden = render_with_stats(&bvh, &gen_rays(size, size), &mut stats);
-    assert_eq!(run.image, golden, "partitioned render must be bit-exact");
+    assert_eq!(run.output, golden, "partitioned render must be bit-exact");
     println!(
         "  traversal      : {:.1} node steps, {:.1} triangle tests per ray",
         stats.steps as f64 / (size * size) as f64,
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for y in 0..size {
         let mut line = String::new();
         for x in 0..size {
-            let s = run.image[y * size + x];
+            let s = run.output[y * size + x];
             let idx = ((s * (ramp.len() as i64 - 1)) / ONE).clamp(0, ramp.len() as i64 - 1);
             line.push(ramp[idx as usize] as char);
             line.push(ramp[idx as usize] as char);

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  execution time : {} FPGA cycles ({:.0} per frame)",
         run.fpga_cycles,
-        run.cycles_per_frame()
+        run.cycles_per_item()
     );
     println!("  software work  : {} CPU cycles", run.sw_cpu_cycles);
     println!(
@@ -44,12 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Golden check against the hand-written decoder (F2).
     let golden = NativeBackend::new().run(&frames);
-    assert_eq!(run.pcm, golden, "partitioned decode must be bit-exact");
+    assert_eq!(run.output, golden, "partitioned decode must be bit-exact");
     println!("  golden check   : PCM bit-exact with the hand-written decoder\n");
 
     // A tiny oscilloscope: the first frame of PCM as an ASCII waveform.
     println!("first PCM frame:");
-    for (i, &s) in run.pcm.iter().take(K).enumerate() {
+    for (i, &s) in run.output.iter().take(K).enumerate() {
         let x = from_fix(s);
         let col = ((x + 1.0) * 24.0).clamp(0.0, 48.0) as usize;
         println!(

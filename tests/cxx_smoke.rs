@@ -12,9 +12,12 @@
 use bcl_backend::cxx::{emit_cxx_harness, flatten_value, CxxOptions};
 use bcl_core::sched::ExecBackend;
 use bcl_core::value::Value;
+use bcl_platform::cosim::RecoveryPolicy;
+use bcl_platform::harness;
+use bcl_platform::link::FaultConfig;
 use bcl_vorbis::bcl::{build_design, frame_value, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{build_cosim, VorbisPartition};
+use bcl_vorbis::partitions::{Decode, VorbisPartition};
 use std::process::Command;
 
 /// Locates a working C++ compiler, trying the usual names.
@@ -31,7 +34,13 @@ fn find_cxx() -> Option<&'static str> {
 /// Runs the simulator on `frames` and returns the sink stream flattened
 /// to the decimal-leaf form the generated C++ program prints.
 fn simulator_sink_leaves(frames: &[Vec<i64>]) -> Vec<i64> {
-    let mut cosim = build_cosim(VorbisPartition::F, frames, ExecBackend::Compiled).unwrap();
+    let mut cosim = harness::build(
+        &Decode(VorbisPartition::F, frames),
+        FaultConfig::none(),
+        RecoveryPolicy::Fail,
+        ExecBackend::Compiled,
+    )
+    .unwrap();
     let want = frames.len();
     cosim
         .run_until(|c| c.sink_count("audioDev") == want, 1_000_000)

@@ -15,19 +15,13 @@
 use bcl_core::sched::ExecBackend;
 use bcl_core::Value;
 use bcl_platform::cosim::{Cosim, RecoveryPolicy};
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, PartitionFault};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
-use bcl_raytrace::partitions::{
-    build_cosim as rt_build_cosim, run_partition as rt_run,
-    run_partition_migrated as rt_run_migrated, run_partition_naive as rt_run_naive, RtPartition,
-};
+use bcl_raytrace::partitions::{run_partition as rt_run, Render, RtPartition};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{
-    build_cosim as vorbis_build_cosim, run_partition as vorbis_run,
-    run_partition_migrated as vorbis_run_migrated, run_partition_naive as vorbis_run_naive,
-    run_partition_with_recovery as vorbis_run_recovery, VorbisPartition,
-};
+use bcl_vorbis::partitions::{run_partition as vorbis_run, Decode, VorbisPartition};
 
 /// (partition, fpga_cycles, sw_cpu_cycles) on `frame_stream(3, 21)`.
 const VORBIS_BASELINE: &[(VorbisPartition, u64, u64)] = &[
@@ -101,9 +95,20 @@ fn vorbis_compiled_backend_cycle_counts_are_pinned() {
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
-        let naive = vorbis_run_naive(p, &frames).unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
+        let naive = harness::run(
+            &Decode(p, &frames),
+            FaultConfig::none(),
+            RecoveryPolicy::Fail,
+            ExecBackend::Naive,
+        )
+        .unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
         let run = vorbis_run(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        assert_eq!(run.pcm, naive.pcm, "partition {} PCM diverged", p.label());
+        assert_eq!(
+            run.output,
+            naive.output,
+            "partition {} PCM diverged",
+            p.label()
+        );
         for (leg, r) in [("naive", &naive), ("compiled", &run)] {
             if (r.fpga_cycles, r.sw_cpu_cycles) != (fpga, cpu) {
                 failures.push(format!(
@@ -125,8 +130,10 @@ fn vorbis_flat_store_cycle_counts_are_pinned() {
     let frames = frame_stream(3, 21);
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE {
+        let app = Decode(p, &frames);
         let [tree, flat] = [ExecBackend::Naive, ExecBackend::Compiled].map(|b| {
-            let cosim = vorbis_build_cosim(p, &frames, b).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+            let cosim = harness::build(&app, FaultConfig::none(), RecoveryPolicy::Fail, b)
+                .unwrap_or_else(|e| panic!("{p:?}: {e}"));
             run_built(cosim, b, "audioDev", frames.len())
         });
         assert_eq!(flat.2, tree.2, "partition {} flat PCM diverged", p.label());
@@ -159,18 +166,18 @@ fn vorbis_failback_trace_is_pinned() {
     let faults = FaultConfig::none()
         .with_partition_fault(PartitionFault::DieAt(800))
         .with_partition_fault(PartitionFault::ReviveAt(2_500));
-    let run = vorbis_run_recovery(
-        VorbisPartition::E,
-        &frames,
+    let run = harness::run(
+        &Decode(VorbisPartition::E, &frames),
         faults,
         RecoveryPolicy::failover(200),
+        ExecBackend::Compiled,
     )
     .unwrap();
     assert!(
         run.failed_over && run.revived,
         "the trace must exercise both"
     );
-    assert_eq!(run.pcm, clean.pcm, "failback must not change the PCM");
+    assert_eq!(run.output, clean.output, "failback must not change the PCM");
     assert_eq!(run.hw_partitions, 1, "the decode must finish in hardware");
     assert_eq!(
         (run.fpga_cycles, run.sw_cpu_cycles),
@@ -192,9 +199,8 @@ fn vorbis_checkpoint_restore_keeps_pinned_cycles() {
     let picks = [VorbisPartition::B, VorbisPartition::E, VorbisPartition::G];
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in VORBIS_BASELINE.iter().filter(|(p, ..)| picks.contains(p)) {
-        let (run, bytes) = vorbis_run_migrated(
-            p,
-            &frames,
+        let (run, bytes) = harness::run_migrated(
+            &Decode(p, &frames),
             FaultConfig::none(),
             RecoveryPolicy::Fail,
             fpga / 2,
@@ -222,11 +228,8 @@ fn raytrace_checkpoint_restore_keeps_pinned_cycles() {
         .iter()
         .find(|(p, ..)| *p == RtPartition::E)
         .unwrap();
-    let (run, bytes) = rt_run_migrated(
-        p,
-        &bvh,
-        4,
-        4,
+    let (run, bytes) = harness::run_migrated(
+        &Render(p, &bvh, 4, 4),
         FaultConfig::none(),
         RecoveryPolicy::Fail,
         fpga / 2,
@@ -318,11 +321,17 @@ fn raytrace_compiled_backend_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
-        let naive = rt_run_naive(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
+        let naive = harness::run(
+            &Render(p, &bvh, 4, 4),
+            FaultConfig::none(),
+            RecoveryPolicy::Fail,
+            ExecBackend::Naive,
+        )
+        .unwrap_or_else(|e| panic!("{p:?} (naive): {e}"));
         let run = rt_run(p, &bvh, 4, 4).unwrap_or_else(|e| panic!("{p:?}: {e}"));
         assert_eq!(
-            run.image,
-            naive.image,
+            run.output,
+            naive.output,
             "partition {} image diverged",
             p.label()
         );
@@ -345,8 +354,10 @@ fn raytrace_flat_store_cycle_counts_are_pinned() {
     let bvh = build_bvh(&make_scene(48, 5));
     let mut failures = Vec::new();
     for &(p, fpga, cpu) in RT_BASELINE {
+        let app = Render(p, &bvh, 4, 4);
         let [tree, flat] = [ExecBackend::Naive, ExecBackend::Compiled].map(|b| {
-            let cosim = rt_build_cosim(p, &bvh, 4, 4, b).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+            let cosim = harness::build(&app, FaultConfig::none(), RecoveryPolicy::Fail, b)
+                .unwrap_or_else(|e| panic!("{p:?}: {e}"));
             run_built(cosim, b, "bitmap", 16)
         });
         assert_eq!(

@@ -13,21 +13,17 @@ use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::domain::{HW, SW};
 use bcl_core::partition::partition;
 use bcl_core::program::Program;
-use bcl_core::sched::SwOptions;
+use bcl_core::sched::{ExecBackend, SwOptions};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_platform::cosim::{Cosim, PartitionLifecycle, RecoveryPolicy};
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, LinkConfig, PartitionFault};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
-use bcl_raytrace::partitions::{
-    run_partition as rt_run, run_partition_with_recovery as rt_run_recovery, RtPartition,
-};
+use bcl_raytrace::partitions::{run_partition as rt_run, Render, RtPartition};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{
-    run_partition as vorbis_run, run_partition_with_recovery as vorbis_run_recovery,
-    VorbisPartition,
-};
+use bcl_vorbis::partitions::{run_partition as vorbis_run, Decode, VorbisPartition};
 use proptest::prelude::*;
 
 /// src(SW) -> toHw -> echo(HW) -> toSw -> snk(SW): the smallest design
@@ -202,16 +198,17 @@ proptest! {
         let faults = FaultConfig::none()
             .with_partition_fault(PartitionFault::DieAt(die_at))
             .with_partition_fault(PartitionFault::ReviveAt(die_at + 1));
-        let run = vorbis_run_recovery(
-            VorbisPartition::E,
-            &frames,
+        let app = Decode(VorbisPartition::E, &frames);
+        let run = harness::run(
+            &app,
             faults,
             RecoveryPolicy::failover((die_at / 4).max(1)),
+            ExecBackend::Compiled,
         )
         .unwrap();
         prop_assert!(run.failed_over, "the death must strike mid-decode");
         prop_assert!(run.revived, "the revival must fire");
-        prop_assert_eq!(&run.pcm, &clean.pcm, "failback changed the PCM");
+        prop_assert_eq!(&run.output, &clean.output, "failback changed the PCM");
         prop_assert_eq!(run.hw_partitions, 1, "the decode must finish in hardware");
     }
 
@@ -225,18 +222,17 @@ proptest! {
         let faults = FaultConfig::none()
             .with_partition_fault(PartitionFault::DieAt(die_at))
             .with_partition_fault(PartitionFault::ReviveAt(die_at + 1));
-        let run = rt_run_recovery(
-            RtPartition::E,
-            &bvh,
-            2,
-            2,
+        let app = Render(RtPartition::E, &bvh, 2, 2);
+        let run = harness::run(
+            &app,
             faults,
             RecoveryPolicy::failover((die_at / 4).max(1)),
+            ExecBackend::Compiled,
         )
         .unwrap();
         prop_assert!(run.failed_over, "the death must strike mid-render");
         prop_assert!(run.revived, "the revival must fire");
-        prop_assert_eq!(&run.image, &clean.image, "failback changed the image");
+        prop_assert_eq!(&run.output, &clean.output, "failback changed the image");
         prop_assert_eq!(run.hw_partitions, 2, "both accelerators must finish in hardware");
     }
 }

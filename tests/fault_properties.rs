@@ -13,15 +13,14 @@ use bcl_core::builder::{dsl::*, ModuleBuilder};
 use bcl_core::domain::{HW, SW};
 use bcl_core::partition::partition;
 use bcl_core::program::Program;
-use bcl_core::sched::SwOptions;
+use bcl_core::sched::{ExecBackend, SwOptions};
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_platform::cosim::{Cosim, CosimOutcome, RecoveryPolicy};
+use bcl_platform::harness;
 use bcl_platform::link::{FaultConfig, LinkConfig, PartitionFault};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{
-    run_partition, run_partition_with_faults, run_partition_with_recovery, VorbisPartition,
-};
+use bcl_vorbis::partitions::{run_partition, Decode, VorbisPartition};
 use proptest::prelude::*;
 
 /// src(SW) -> toHw -> echo(HW) -> toSw -> snk(SW): the simplest design
@@ -313,10 +312,12 @@ proptest! {
         // direction per frame — every fault lands on real payload.
         let frames = frame_stream(2, 11);
         let clean = run_partition(VorbisPartition::E, &frames).unwrap();
-        let faulty =
-            run_partition_with_faults(VorbisPartition::E, &frames, faults.clone()).unwrap();
-        prop_assert_eq!(&faulty.pcm, &clean.pcm, "PCM must be bit-identical");
-        let again = run_partition_with_faults(VorbisPartition::E, &frames, faults).unwrap();
+        let app = Decode(VorbisPartition::E, &frames);
+        let run_faulty =
+            |faults| harness::run(&app, faults, RecoveryPolicy::Fail, ExecBackend::Compiled);
+        let faulty = run_faulty(faults.clone()).unwrap();
+        prop_assert_eq!(&faulty.output, &clean.output, "PCM must be bit-identical");
+        let again = run_faulty(faults).unwrap();
         prop_assert_eq!(faulty.fpga_cycles, again.fpga_cycles, "cycles must reproduce");
         prop_assert_eq!(faulty.link, again.link, "fault tally must reproduce");
     }
@@ -336,23 +337,13 @@ proptest! {
         let faults = |s: &[PartitionFault]| {
             s.iter().fold(FaultConfig::none(), |f, &p| f.with_partition_fault(p))
         };
-        let restart = run_partition_with_recovery(
-            VorbisPartition::E,
-            &frames,
-            faults(&schedule),
-            RecoveryPolicy::restart(interval),
-        )
-        .unwrap();
-        prop_assert_eq!(&restart.pcm, &clean.pcm, "restart leaked into the PCM");
+        let app = Decode(VorbisPartition::E, &frames);
+        let run = |policy| harness::run(&app, faults(&schedule), policy, ExecBackend::Compiled);
+        let restart = run(RecoveryPolicy::restart(interval)).unwrap();
+        prop_assert_eq!(&restart.output, &clean.output, "restart leaked into the PCM");
         prop_assert_eq!(restart.fpga_cycles, clean.fpga_cycles, "restart must be cycle-identical");
-        let failover = run_partition_with_recovery(
-            VorbisPartition::E,
-            &frames,
-            faults(&schedule),
-            RecoveryPolicy::failover(interval),
-        )
-        .unwrap();
-        prop_assert_eq!(&failover.pcm, &clean.pcm, "failover changed the PCM");
+        let failover = run(RecoveryPolicy::failover(interval)).unwrap();
+        prop_assert_eq!(&failover.output, &clean.output, "failover changed the PCM");
     }
 }
 

@@ -18,26 +18,29 @@ use bcl_core::program::Program;
 use bcl_core::sched::ExecBackend;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
-use bcl_platform::cosim::Cosim;
-use bcl_platform::link::LinkConfig;
+use bcl_platform::cosim::{Cosim, RecoveryPolicy};
+use bcl_platform::harness;
+use bcl_platform::link::{FaultConfig, LinkConfig};
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
-use bcl_raytrace::partitions::{build_cosim as rt_build_cosim, RtPartition};
+use bcl_raytrace::partitions::{Render, RtPartition};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{build_cosim as vorbis_build_cosim, VorbisPartition};
+use bcl_vorbis::partitions::{Decode, VorbisPartition};
 
 #[test]
 fn vorbis_partitions_run_fully_compiled() {
     let frames = frame_stream(1, 3);
     for part in VorbisPartition::ALL.into_iter().chain([VorbisPartition::G]) {
-        let cosim = vorbis_build_cosim(part, &frames, ExecBackend::Compiled).unwrap();
+        let app = Decode(part, &frames);
+        let build = |b| harness::build(&app, FaultConfig::none(), RecoveryPolicy::Fail, b);
+        let cosim = build(ExecBackend::Compiled).unwrap();
         assert_eq!(
             cosim.interpreted_rules(),
             0,
             "Vorbis partition {} has interpreted rules",
             part.label()
         );
-        let naive = vorbis_build_cosim(part, &frames, ExecBackend::Naive).unwrap();
+        let naive = build(ExecBackend::Naive).unwrap();
         assert!(naive.interpreted_rules() > 0, "the reference interprets");
     }
 }
@@ -46,7 +49,13 @@ fn vorbis_partitions_run_fully_compiled() {
 fn raytrace_partitions_run_fully_compiled() {
     let bvh = build_bvh(&make_scene(16, 5));
     for part in RtPartition::ALL.into_iter().chain([RtPartition::E]) {
-        let cosim = rt_build_cosim(part, &bvh, 2, 2, ExecBackend::Compiled).unwrap();
+        let cosim = harness::build(
+            &Render(part, &bvh, 2, 2),
+            FaultConfig::none(),
+            RecoveryPolicy::Fail,
+            ExecBackend::Compiled,
+        )
+        .unwrap();
         assert_eq!(
             cosim.interpreted_rules(),
             0,

@@ -19,9 +19,15 @@ use bcl_core::value::Value;
 use bcl_platform::cosim::{
     Cosim, HwPartitionCfg, InterHwRouting, PartitionLifecycle, RecoveryPolicy,
 };
+use bcl_platform::harness::{self, Application};
 use bcl_platform::link::{FaultConfig, LinkConfig, PartitionFault};
-use bcl_platform::persist::PersistError;
+use bcl_platform::persist::{CheckpointPolicy, PersistError};
 use bcl_platform::{Checkpoint, FORMAT_VERSION, MIN_FORMAT_VERSION};
+use bcl_raytrace::bvh::build_bvh;
+use bcl_raytrace::geom::make_scene;
+use bcl_raytrace::partitions::{Render, RtPartition};
+use bcl_vorbis::frames::frame_stream;
+use bcl_vorbis::partitions::{Decode, VorbisPartition};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -417,6 +423,49 @@ fn resume_into_stepped_cosim_is_rejected() {
         cs.resume_from(&mut &bytes[..]),
         Err(PersistError::TopologyMismatch(_))
     ));
+}
+
+/// Runs an application partition through the harness three ways:
+/// uninterrupted, autosaving into a fresh directory, and resumed from the
+/// snapshot file the autosaving run left. The autosave interval puts the
+/// last save at 80% of the run, so the resumed run has work left to do.
+/// Both must match the uninterrupted run's output and modeled cycles,
+/// and resuming from a file that does not exist must fail.
+fn assert_autosave_resumes_identically<A: Application>(app: &A, name: &str) {
+    let (none, fail) = (FaultConfig::none, RecoveryPolicy::Fail);
+    let clean = harness::run(app, none(), fail, ExecBackend::Compiled).expect(name);
+    let interval = clean.fpga_cycles * 2 / 5;
+    let dir = std::env::temp_dir().join(format!("bcl_autosave_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let saved = harness::run_autosaving(app, none(), fail, interval, &dir).expect(name);
+    let snapshot = CheckpointPolicy::new(interval, &dir).snapshot_path();
+    let resumed = harness::resume(app, none(), fail, &snapshot).expect(name);
+    let missing = harness::resume(app, none(), fail, &dir.join("missing.bckp"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        missing.is_err(),
+        "{name}: resume must read the snapshot file"
+    );
+    for (leg, r) in [("autosaving", &saved), ("resumed", &resumed)] {
+        assert_eq!(r.output, clean.output, "{name} ({leg}): output diverged");
+        assert_eq!(
+            (r.fpga_cycles, r.sw_cpu_cycles),
+            (clean.fpga_cycles, clean.sw_cpu_cycles),
+            "{name} ({leg}): modeled cycles diverged"
+        );
+    }
+}
+
+#[test]
+fn vorbis_autosave_resumes_identically_through_the_harness() {
+    let frames = frame_stream(3, 21);
+    assert_autosave_resumes_identically(&Decode(VorbisPartition::E, &frames), "vorbis_e");
+}
+
+#[test]
+fn raytrace_autosave_resumes_identically_through_the_harness() {
+    let bvh = build_bvh(&make_scene(48, 5));
+    assert_autosave_resumes_identically(&Render(RtPartition::C, &bvh, 4, 4), "raytrace_c");
 }
 
 // ---- adversarial decoding (satellite 1) ---------------------------------

@@ -13,7 +13,7 @@ fn all_partitions_render_the_native_image() {
     let golden = render(&bvh, &gen_rays(w, h));
     for p in RtPartition::ALL {
         let run = run_partition(p, &bvh, w, h).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        assert_eq!(run.image, golden, "partition {}", p.label());
+        assert_eq!(run.output, golden, "partition {}", p.label());
     }
 }
 
@@ -73,6 +73,6 @@ fn determinism_across_runs() {
     let bvh = build_bvh(&make_scene(32, 4));
     let r1 = run_partition(RtPartition::D, &bvh, 4, 2).unwrap();
     let r2 = run_partition(RtPartition::D, &bvh, 4, 2).unwrap();
-    assert_eq!(r1.image, r2.image);
+    assert_eq!(r1.output, r2.output);
     assert_eq!(r1.fpga_cycles, r2.fpga_cycles);
 }

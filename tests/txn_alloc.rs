@@ -38,13 +38,15 @@ use bcl_core::store::Store;
 use bcl_core::types::Type;
 use bcl_core::value::Value;
 use bcl_core::xform::ExecMode;
-use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting};
+use bcl_platform::cosim::{Cosim, HwPartitionCfg, InterHwRouting, RecoveryPolicy};
+use bcl_platform::harness;
+use bcl_platform::link::FaultConfig;
 use bcl_raytrace::bvh::build_bvh;
 use bcl_raytrace::geom::make_scene;
-use bcl_raytrace::partitions::{build_cosim as rt_build_cosim, RtPartition};
+use bcl_raytrace::partitions::{Render, RtPartition};
 use bcl_vorbis::bcl::{build_backend, build_design, BackendOptions};
 use bcl_vorbis::frames::frame_stream;
-use bcl_vorbis::partitions::{build_cosim as vorbis_build_cosim, VorbisPartition};
+use bcl_vorbis::partitions::{Decode, VorbisPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -296,7 +298,13 @@ fn vorbis_software_run_allocates_only_the_sink_output() {
     // All frames are queued while the system is built, outside the
     // measured window; the window is the run to the last frame.
     let frames = frame_stream(VORBIS_FRAMES, 11);
-    let mut cosim = vorbis_build_cosim(VorbisPartition::F, &frames, ExecBackend::Compiled).unwrap();
+    let mut cosim = harness::build(
+        &Decode(VorbisPartition::F, &frames),
+        FaultConfig::none(),
+        RecoveryPolicy::Fail,
+        ExecBackend::Compiled,
+    )
+    .unwrap();
     assert_eq!(cosim.interpreted_rules(), 0);
     let mut done = false;
     let allocs = allocs_during(|| {
@@ -319,8 +327,13 @@ fn vorbis_software_run_allocates_only_the_sink_output() {
 /// a `side`×`side` image, construction and queued rays excluded.
 fn raytrace_c_run_allocs(side: usize) -> u64 {
     let bvh = build_bvh(&make_scene(64, 5));
-    let mut cosim =
-        rt_build_cosim(RtPartition::C, &bvh, side, side, ExecBackend::Compiled).unwrap();
+    let mut cosim = harness::build(
+        &Render(RtPartition::C, &bvh, side, side),
+        FaultConfig::none(),
+        RecoveryPolicy::Fail,
+        ExecBackend::Compiled,
+    )
+    .unwrap();
     let rays = side * side;
     let mut done = false;
     let allocs = allocs_during(|| {

@@ -17,7 +17,7 @@ fn all_eight_implementations_agree() {
     let golden = NativeBackend::new().run(&frames);
     for p in VorbisPartition::ALL {
         let run = run_partition(p, &frames).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        assert_eq!(run.pcm, golden, "partition {}", p.label());
+        assert_eq!(run.output, golden, "partition {}", p.label());
     }
     let sysc = run_systemc_baseline(&frames, Default::default());
     assert_eq!(sysc.pcm, golden, "SystemC-style baseline");
@@ -101,7 +101,7 @@ fn determinism_across_runs() {
     let frames = frame_stream(6, 3);
     let r1 = run_partition(VorbisPartition::C, &frames).unwrap();
     let r2 = run_partition(VorbisPartition::C, &frames).unwrap();
-    assert_eq!(r1.pcm, r2.pcm);
+    assert_eq!(r1.output, r2.output);
     assert_eq!(
         r1.fpga_cycles, r2.fpga_cycles,
         "the whole cosim is deterministic"
